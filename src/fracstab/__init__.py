@@ -33,12 +33,10 @@ from .lyapunov import (
     GFunction,
     LyapunovFunctional,
     PsiComponent,
-    QuadComponent,
     build_log_volterra,
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
-    eval_functional,
     field_derivative,
     identity_g,
     lemma_certificate,
@@ -73,7 +71,6 @@ __all__ = [
     "NewtonError",
     "NoEndemicEquilibriumError",
     "PsiComponent",
-    "QuadComponent",
     "SampledSignal",
     "Trajectory",
     "UniformGrid",
@@ -83,7 +80,6 @@ __all__ = [
     "damped_newton",
     "decrescence_certificate",
     "default_tolerance",
-    "eval_functional",
     "field_derivative",
     "gamma_fn",
     "gl_weights",

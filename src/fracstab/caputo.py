@@ -129,6 +129,22 @@ def gl_weights(order: FractionalOrder, count: int) -> np.ndarray:
     return w
 
 
+def adams_tables(order: FractionalOrder, n_steps: int):
+    """Unnormalized fractional Adams weights for steps 1..n_steps.
+
+    At step k the right-hand side i nodes before node k-1 has predictor
+    weight dp[i] = (i+1)^alpha - i^alpha and, for i < k-1, corrector
+    weight d2q[i], the second difference of i^(alpha+1); node 0's corrector
+    weight is start[k-1].
+    """
+    alpha = order.alpha
+    p = np.arange(n_steps + 1, dtype=float) ** alpha
+    q = np.arange(n_steps + 2, dtype=float) ** (alpha + 1.0)
+    start = np.fromiter(((k - 1) ** (alpha + 1.0) - (k - 1 - alpha) * k ** alpha
+                         for k in range(1, n_steps + 1)), float, n_steps)
+    return np.diff(p), q[2:] + q[:-2] - 2.0 * q[1:-1], start
+
+
 def abm_weights(order: FractionalOrder, step_index: int, h: float = 1.0):
     """Fractional Adams quadrature weights for advancing to node step_index.
 
@@ -139,18 +155,13 @@ def abm_weights(order: FractionalOrder, step_index: int, h: float = 1.0):
     right-hand side at the predicted node.  A consumer of ``b`` still
     divides the weighted sum by Gamma(alpha).  At alpha = 1 the predictor
     weights are all h and the corrector reduces to the trapezoidal rule.
+    Both are slices of ``adams_tables``, the tables the solver uses.
     """
     if step_index < 1:
         raise DomainError(f"step_index must be >= 1, got {step_index}")
     alpha = order.alpha
     k = step_index
-    j = np.arange(k, dtype=float)
-    b = (h ** alpha / alpha) * ((k - j) ** alpha - (k - 1 - j) ** alpha)
-
-    a = np.empty(k + 1)
-    a[0] = (k - 1) ** (alpha + 1.0) - (k - 1 - alpha) * k ** alpha
-    jj = j[1:]
-    a[1:k] = (k - jj + 1) ** (alpha + 1.0) + (k - jj - 1) ** (alpha + 1.0) - 2.0 * (k - jj) ** (alpha + 1.0)
-    a[k] = 1.0
-    a *= h ** alpha / gamma_fn(alpha + 2.0)
-    return b, a
+    dp, d2q, start = adams_tables(order, k)
+    b = (h ** alpha / alpha) * dp[::-1]
+    a = np.concatenate([[start[k - 1]], d2q[: k - 1][::-1], [1.0]])
+    return b, a * (h ** alpha / gamma_fn(alpha + 2.0))

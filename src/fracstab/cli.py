@@ -1,7 +1,8 @@
 """Command-line front end: r0, simulate, verify-lemma, report.
 
 Exit codes: 0 all certificates pass, 1 a certificate fails,
-2 configuration/domain error, 3 solver divergence.
+2 any other package error (configuration, domain, grid, equilibrium or
+Newton failure; the JSON error goes to stderr), 3 solver divergence.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ import numpy as np
 from .caputo import FractionalOrder, SampledSignal, UniformGrid
 from .config import ExperimentConfig, load_config
 from .csvio import write_csv
-from .errors import (
-    ConfigError,
-    ContractError,
-    DivergenceError,
-    DomainError,
-    NoEndemicEquilibriumError,
-)
+from .errors import ConfigError, DivergenceError, FracstabError
 from .lyapunov import (
     GFunction,
     caputo_of_functional,
@@ -32,7 +27,6 @@ from .lyapunov import (
     identity_g,
     lemma_certificate,
 )
-from .models import sica, teiv
 from .solver import solve_fde_abm
 from .svgplot import plot_panels
 
@@ -51,22 +45,11 @@ def _g_registry() -> dict:
 
 
 def _model_of(cfg: ExperimentConfig):
-    if cfg.model == "sica":
-        return sica.sica_model(cfg.params)
-    return teiv.teiv_model(cfg.params)
+    return cfg.spec.model(cfg.params)
 
 
 def _grid_of(cfg: ExperimentConfig) -> UniformGrid:
     return UniformGrid(t0=0.0, h=cfg.t_end / cfg.steps, n_steps=cfg.steps)
-
-
-def _build_functional(cfg: ExperimentConfig, kind: str):
-    if kind == "v0":
-        return sica.sica_v0(cfg.params)
-    if kind == "v1":
-        return sica.sica_v1(cfg.params)
-    eqs = teiv.teiv_equilibria(cfg.params)
-    return teiv.teiv_lyapunov(cfg.params, eqs[-1])
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -78,28 +61,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def cmd_r0(cfg: ExperimentConfig, out_path: str | None) -> int:
-    if cfg.model == "sica":
-        p = cfg.params
-        doc = {
-            "model": "sica",
-            "r0": sica.sica_r0(p),
-            "endemic_threshold": sica.endemic_threshold(p),
-            "disease_free": list(sica.sica_disease_free(p)),
-        }
-        try:
-            doc["endemic"] = list(sica.sica_endemic(p))
-        except NoEndemicEquilibriumError:
-            doc["endemic"] = None
-    else:
-        p = cfg.params
-        eqs = teiv.teiv_equilibria(p)
-        doc = {
-            "model": "teiv",
-            "r0": teiv.teiv_r0(p),
-            "infection_free": list(eqs[0]),
-            "chronic": list(eqs[1]) if len(eqs) > 1 else None,
-        }
-    _emit(doc, out_path)
+    _emit({"model": cfg.model, **cfg.spec.r0_document(cfg.params)}, out_path)
     return EXIT_PASS
 
 
@@ -108,9 +70,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     model = _model_of(cfg)
     grid = _grid_of(cfg)
     times = grid.times()
+    spec, p = cfg.spec, cfg.params
     written = []
     try:
-        functionals = {kind: _build_functional(cfg, kind) for kind in cfg.functionals}
+        functionals = {k: spec.functional_at(p, spec.anchor(k, p)) for k in cfg.functionals}
         trajectories = {}
         for order in cfg.orders:
             traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
@@ -132,14 +95,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
         svg_path = os.path.join(out_dir, "states.svg")
         plot_panels(svg_path, times, panels, [f"order={o.alpha:g}" for o in cfg.orders])
         written.append(svg_path)
-    except DivergenceError as exc:
+    except DivergenceError:
         for path in written:
             try:
                 os.remove(path)
             except OSError:
                 pass
-        print(json.dumps({"error": "divergence", "node": exc.node}))
-        return EXIT_DIVERGENCE
+        raise
     print(json.dumps({"written": written}, indent=2))
     return EXIT_PASS
 
@@ -160,12 +122,7 @@ def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> i
         )
     idx = model.state_labels.index(coordinate)
     grid = _grid_of(cfg)
-    try:
-        traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
-    except DivergenceError as exc:
-        print(json.dumps({"error": "divergence", "node": exc.node}))
-        return EXIT_DIVERGENCE
-
+    traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
     samples = traj.component(idx)
     nonpos = np.flatnonzero(samples <= 0)
     if nonpos.size:
@@ -175,29 +132,16 @@ def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> i
     return EXIT_PASS if cert.passed else EXIT_CERT_FAIL
 
 
-def _relative_distance(state: np.ndarray, target: np.ndarray) -> float:
-    scale = max(float(np.abs(target).max()), 1.0)
-    return float(np.abs(state - target).max()) / scale
-
-
 def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
     model = _model_of(cfg)
     grid = _grid_of(cfg)
-    p = cfg.params
+    spec, p = cfg.spec, cfg.params
 
-    if cfg.model == "sica":
-        r0 = sica.sica_r0(p)
-        endemic_regime = sica.endemic_threshold(p) > 1.0
-        target = sica.sica_endemic(p) if endemic_regime else sica.sica_disease_free(p)
-        functional = sica.sica_v1(p) if endemic_regime else sica.sica_v0(p)
-        consistent = sica.r0_spectral_consistent(p)
-    else:
-        r0 = teiv.teiv_r0(p)
-        endemic_regime = r0 > 1.0
-        eqs = teiv.teiv_equilibria(p)
-        target = eqs[-1] if endemic_regime else eqs[0]
-        functional = teiv.teiv_lyapunov(p, target)
-        consistent = teiv.r0_spectral_consistent(p)
+    r0 = spec.r0(p)
+    endemic_regime = spec.threshold(p) > 1.0
+    target = spec.predicted(p)
+    functional = spec.functional_at(p, target)
+    consistent = spec.spectral_consistent(p)
     regime = "endemic" if endemic_regime else "disease-free"
 
     per_order = []
@@ -211,7 +155,6 @@ def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
         dV = caputo_of_functional(functional, traj)
         scale = float(np.abs(functional.values_along(traj.states)).max())
         cert = decrescence_certificate(dV, default_tolerance(grid, order, max(scale, 1.0)))
-        final_dist = _relative_distance(traj.states[-1], target)
         dists = np.abs(traj.states - target).max(axis=1) / max(float(np.abs(target).max()), 1.0)
         inside = np.flatnonzero(dists <= 0.05)
         entry_time = float(grid.times()[inside[0]]) if inside.size else None
@@ -227,7 +170,7 @@ def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
             "order": order.alpha,
             "verdict": verdict,
             "decrescence": cert.to_json_dict(),
-            "final_relative_distance": final_dist,
+            "final_relative_distance": float(dists[-1]),
             "ball_entry_time_5pct": entry_time,
         })
 
@@ -273,7 +216,10 @@ def main(argv=None) -> int:
         if args.command == "verify-lemma":
             return cmd_verify_lemma(cfg, args.coordinate, args.g, args.xbar, args.order, args.out)
         return cmd_report(cfg, args.out)
-    except (ConfigError, ContractError, DomainError, NoEndemicEquilibriumError) as exc:
+    except DivergenceError as exc:
+        print(json.dumps({"error": "divergence", "node": exc.node}))
+        return EXIT_DIVERGENCE
+    except FracstabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
 

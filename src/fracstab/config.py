@@ -7,39 +7,40 @@ would invalidate every certificate downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .caputo import FractionalOrder
 from .errors import ConfigError, ContractError
-from .models import sica, teiv
-
-MODELS = ("sica", "teiv")
-FUNCTIONAL_KINDS = ("v0", "v1", "teiv_at_anchor")
+from .models import MODELS, ModelSpec
 
 _TOP_FIELDS = {
     "model", "params", "orders", "initial_state",
-    "t_end", "steps", "functionals", "outputs",
+    "t_end", "steps", "functionals",
 }
+
+
+def _spec_of(model: str) -> ModelSpec:
+    if model not in MODELS:
+        raise ConfigError(f"model must be one of {tuple(MODELS)}, got {model!r}")
+    return MODELS[model]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation/certification experiment."""
 
-    model: str
-    params: object            # SicaParams or TeivParams
+    model: str                # a key of MODELS
+    params: object            # that model's params dataclass
     orders: tuple             # of FractionalOrder
     initial_state: tuple      # 4 floats
     t_end: float
     steps: int
-    functionals: tuple        # subset of FUNCTIONAL_KINDS
-    outputs: dict             # label -> path template
+    functionals: tuple        # functional kinds of the model
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
+        spec = _spec_of(self.model)
         if not self.orders:
             raise ConfigError("orders must be non-empty")
         if self.steps < 10:
@@ -49,12 +50,12 @@ class ExperimentConfig:
         if len(self.initial_state) != 4:
             raise ConfigError("initial_state must have 4 components")
         for f in self.functionals:
-            if f not in FUNCTIONAL_KINDS:
-                raise ConfigError(f"unknown functional kind {f!r}")
-            if self.model == "sica" and f == "teiv_at_anchor":
-                raise ConfigError("functional 'teiv_at_anchor' requires model 'teiv'")
-            if self.model == "teiv" and f in ("v0", "v1"):
-                raise ConfigError(f"functional {f!r} requires model 'sica'")
+            if f not in spec.functionals:
+                raise ConfigError(f"model {self.model!r} has no functional {f!r}")
+
+    @property
+    def spec(self) -> ModelSpec:
+        return MODELS[self.model]
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -69,12 +70,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     model = doc["model"]
     try:
-        if model == "sica":
-            params = sica.params_from_json(doc["params"])
-        elif model == "teiv":
-            params = teiv.params_from_json(doc["params"])
-        else:
-            raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
+        params = _spec_of(model).params_from_json(doc["params"])
         orders = tuple(FractionalOrder(a) for a in doc["orders"])
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
@@ -87,24 +83,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         t_end=float(doc["t_end"]),
         steps=int(doc["steps"]),
         functionals=tuple(doc.get("functionals", ())),
-        outputs=dict(doc.get("outputs", {})),
     )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    if cfg.model == "sica":
-        params = sica.params_to_json(cfg.params)
-    else:
-        params = teiv.params_to_json(cfg.params)
     return {
         "model": cfg.model,
-        "params": params,
+        "params": asdict(cfg.params),
         "orders": [o.alpha for o in cfg.orders],
         "initial_state": list(cfg.initial_state),
         "t_end": cfg.t_end,
         "steps": cfg.steps,
         "functionals": list(cfg.functionals),
-        "outputs": dict(cfg.outputs),
     }
 
 
@@ -118,8 +108,3 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     return config_from_dict(doc)
 
-
-def dump_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")

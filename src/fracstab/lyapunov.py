@@ -5,9 +5,8 @@ The functionals are weighted sums of anchored components
     psi(x) = x - xstar - integral_{xstar}^{x} g(xstar)/g(s) ds
 
 with g non-negative and strictly increasing, optionally combined with
-per-coordinate quadratic parts b/2 (x - xstar)^2 and quadratic forms over
-sums of coordinates.  Certificates check, along sampled signals, the
-fractional comparison inequality
+quadratic forms over sums of coordinates.  Certificates check, along
+sampled signals, the fractional comparison inequality
 
     D^alpha psi(x(t))  <=  (1 - g(xbar)/g(x(t))) D^alpha x(t)
 
@@ -81,19 +80,6 @@ class PsiComponent:
 
 
 @dataclass(frozen=True)
-class QuadComponent:
-    """Per-coordinate quadratic part b/2 (x - xstar)^2."""
-
-    weight: float
-    xstar: float
-    component_index: int
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ContractError("quadratic weight must be non-negative")
-
-
-@dataclass(frozen=True)
 class CrossQuadComponent:
     """Quadratic form w/2 (sum_i (x_i - anchor_i))^2 over an index set."""
 
@@ -110,10 +96,9 @@ class CrossQuadComponent:
 
 @dataclass(frozen=True)
 class LyapunovFunctional:
-    """Immutable weighted sum of psi, quadratic, and cross-quadratic parts."""
+    """Immutable weighted sum of psi and cross-quadratic parts."""
 
     psi_parts: tuple
-    quad_parts: tuple = ()
     cross_quad_parts: tuple = ()
 
     def value(self, state) -> float:
@@ -121,8 +106,6 @@ class LyapunovFunctional:
         total = 0.0
         for part in self.psi_parts:
             total += part.weight * psi(part.g, part.xstar, state[part.component_index])
-        for part in self.quad_parts:
-            total += 0.5 * part.weight * (state[part.component_index] - part.xstar) ** 2
         for part in self.cross_quad_parts:
             dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
             total += 0.5 * part.weight * dev ** 2
@@ -134,8 +117,6 @@ class LyapunovFunctional:
         total = np.zeros(states.shape[0])
         for part in self.psi_parts:
             total += part.weight * psi_profile(part.g, part.xstar, states[:, part.component_index])
-        for part in self.quad_parts:
-            total += 0.5 * part.weight * (states[:, part.component_index] - part.xstar) ** 2
         for part in self.cross_quad_parts:
             dev = np.zeros(states.shape[0])
             for i, a in zip(part.indices, part.anchors):
@@ -225,17 +206,12 @@ def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     return xs - xstar - integral_at_knot[idx]
 
 
-def eval_functional(functional: LyapunovFunctional, state) -> float:
-    """Value of the functional at a single state vector."""
-    return functional.value(state)
-
-
 def field_derivative(functional: LyapunovFunctional, model: ModelDefinition, state) -> float:
     """Classical orbital derivative of the functional under the model field.
 
     Sums multiplier_i * rhs_i(state) where the multiplier of a psi part is
-    1 - g(xstar)/g(x_i) (or 1 for a zero anchor), of a quadratic part is
-    b (x_i - xstar), and cross-quadratic parts contribute their chain rule.
+    1 - g(xstar)/g(x_i) (or 1 for a zero anchor), and cross-quadratic parts
+    contribute their chain rule.
     """
     state = np.asarray(state, dtype=float)
     fx = model.rhs(state)
@@ -252,8 +228,6 @@ def field_derivative(functional: LyapunovFunctional, model: ModelDefinition, sta
                 raise DomainError("g vanished at the evaluation state")
             mult = 1.0 - part.g(part.xstar) / gx
         total += part.weight * mult * fx[part.component_index]
-    for part in functional.quad_parts:
-        total += part.weight * (state[part.component_index] - part.xstar) * fx[part.component_index]
     for part in functional.cross_quad_parts:
         dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
         total += part.weight * dev * sum(fx[i] for i in part.indices)

@@ -12,12 +12,12 @@ Two incidence variants are supported:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractError, DomainError, NoEndemicEquilibriumError
-from ..lyapunov import LyapunovFunctional, PsiComponent, build_log_volterra, identity_g
+from ..lyapunov import LyapunovFunctional, build_log_volterra
 from ..newton import damped_newton
 from ..solver import ModelDefinition
 
@@ -144,31 +144,34 @@ def sica_endemic(p: SicaParams) -> np.ndarray:
     return eq
 
 
-def sica_v1(p: SicaParams) -> LyapunovFunctional:
-    """Log-Volterra functional anchored at the endemic equilibrium.
+def sica_r0_document(p: SicaParams) -> dict:
+    """Reproduction number, threshold and equilibria, as the r0 command prints them."""
+    doc = {
+        "r0": sica_r0(p),
+        "endemic_threshold": endemic_threshold(p),
+        "disease_free": list(sica_disease_free(p)),
+    }
+    try:
+        doc["endemic"] = list(sica_endemic(p))
+    except NoEndemicEquilibriumError:
+        doc["endemic"] = None
+    return doc
 
-    Weights (1, 1, omega/xi2, alpha_t/xi1) on (S, I, C, A).
+
+def sica_v1(p: SicaParams, anchor) -> LyapunovFunctional:
+    """Log-Volterra functional anchored at an equilibrium.
+
+    Weights (1, 1, omega/xi2, alpha_t/xi1) on (S, I, C, A).  Anchored at
+    the endemic equilibrium this is V1; a zero anchor coordinate
+    degenerates to a linear term, so at the disease-free point it is V0.
     """
-    eq = sica_endemic(p)
     weights = (1.0, 1.0, p.omega / p.c_exit_rate, p.alpha_t / p.a_exit_rate)
-    return build_log_volterra(list(zip(weights, eq)))
+    return build_log_volterra(list(zip(weights, anchor)))
 
 
 def sica_v0(p: SicaParams) -> LyapunovFunctional:
-    """Functional anchored at the disease-free equilibrium.
-
-    Log component on S anchored at S0 plus linear components on I, C, A
-    with weights 1, omega/xi2, alpha_t/xi1.
-    """
-    s0 = p.lambda_ / p.mu
-    g = identity_g()
-    parts = (
-        PsiComponent(weight=1.0, g=g, xstar=s0, component_index=0),
-        PsiComponent(weight=1.0, g=g, xstar=0.0, component_index=1),
-        PsiComponent(weight=p.omega / p.c_exit_rate, g=g, xstar=0.0, component_index=2),
-        PsiComponent(weight=p.alpha_t / p.a_exit_rate, g=g, xstar=0.0, component_index=3),
-    )
-    return LyapunovFunctional(psi_parts=parts)
+    """``sica_v1`` anchored at the disease-free equilibrium (S0, 0, 0, 0)."""
+    return sica_v1(p, sica_disease_free(p))
 
 
 def disease_jacobian_at_dfe(p: SicaParams) -> np.ndarray:
@@ -182,35 +185,6 @@ def disease_jacobian_at_dfe(p: SicaParams) -> np.ndarray:
         [p.phi, -p.c_exit_rate, 0.0],
         [p.rho, 0.0, -p.a_exit_rate],
     ])
-
-
-def dfe_spectrally_stable(p: SicaParams) -> bool:
-    eigs = np.linalg.eigvals(disease_jacobian_at_dfe(p))
-    return bool((eigs.real < 0).all())
-
-
-def r0_spectral_consistent(p: SicaParams, margin: float = 1e-6) -> bool:
-    """Whether the published R0 threshold agrees with linearized stability.
-
-    States within ``margin`` of the threshold are treated as consistent
-    (the spectral test is not meaningful there).
-    """
-    r0 = sica_r0(p)
-    if abs(r0 - 1.0) <= margin:
-        return True
-    return dfe_spectrally_stable(p) == (r0 < 1.0)
-
-
-def params_to_json(p: SicaParams) -> dict:
-    return asdict(p)
-
-
-def params_from_json(doc: dict) -> SicaParams:
-    allowed = {"lambda_", "mu", "beta", "rho", "phi", "alpha_t", "omega", "d", "incidence"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ContractError(f"unknown SICA parameter fields: {sorted(unknown)}")
-    return SicaParams(**doc)
 
 
 def baseline_params(beta: float = 0.066, incidence: str = "standard") -> SicaParams:

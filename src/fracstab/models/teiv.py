@@ -8,12 +8,12 @@ in the eclipse stage revert to the uninfected pool at rate rho.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ..errors import ContractError, NewtonError
+from ..errors import ContractError, NewtonError, NoEndemicEquilibriumError
 from ..lyapunov import (
     CrossQuadComponent,
     GFunction,
@@ -136,6 +136,24 @@ def teiv_equilibria(p: TeivParams) -> list:
     return out
 
 
+def teiv_chronic(p: TeivParams) -> np.ndarray:
+    """Chronic equilibrium; raises NoEndemicEquilibriumError when R0 <= 1."""
+    eqs = teiv_equilibria(p)
+    if len(eqs) == 1:
+        raise NoEndemicEquilibriumError(f"no chronic equilibrium: R0 {teiv_r0(p):.4g} <= 1")
+    return eqs[1]
+
+
+def teiv_r0_document(p: TeivParams) -> dict:
+    """Reproduction number and equilibria, as the r0 command prints them."""
+    eqs = teiv_equilibria(p)
+    return {
+        "r0": teiv_r0(p),
+        "infection_free": list(eqs[0]),
+        "chronic": list(eqs[1]) if len(eqs) > 1 else None,
+    }
+
+
 def _incidence_in_t(p: TeivParams, vbar: float) -> GFunction:
     return GFunction(lambda theta: teiv_incidence(p, theta, vbar), label=f"incidence_V={vbar:g}")
 
@@ -184,32 +202,3 @@ def infected_jacobian_at_ife(p: TeivParams) -> np.ndarray:
         [p.gamma, -p.mu_I, 0.0],
         [0.0, p.k, -p.mu_V],
     ])
-
-
-def ife_spectrally_stable(p: TeivParams) -> bool:
-    eigs = np.linalg.eigvals(infected_jacobian_at_ife(p))
-    return bool((eigs.real < 0).all())
-
-
-def r0_spectral_consistent(p: TeivParams, margin: float = 1e-6) -> bool:
-    """Whether the reproduction-number threshold agrees with linearized
-    stability of the infection-free equilibrium (margin band excluded)."""
-    r0 = teiv_r0(p)
-    if abs(r0 - 1.0) <= margin:
-        return True
-    return ife_spectrally_stable(p) == (r0 < 1.0)
-
-
-def params_to_json(p: TeivParams) -> dict:
-    return asdict(p)
-
-
-def params_from_json(doc: dict) -> TeivParams:
-    allowed = {
-        "lambda_", "mu_T", "mu_E", "mu_I", "mu_V",
-        "rho", "gamma", "k", "beta", "alpha1", "alpha2", "alpha3",
-    }
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ContractError(f"unknown TEIV parameter fields: {sorted(unknown)}")
-    return TeivParams(**doc)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .caputo import FractionalOrder, UniformGrid, gamma_fn, gl_weights
+from .caputo import FractionalOrder, UniformGrid, adams_tables, gamma_fn, gl_weights
 from .errors import ContractError, DivergenceError
 
 
@@ -99,13 +99,7 @@ def solve_fde_abm(
     ga = gamma_fn(alpha)
     ga2 = gamma_fn(alpha + 2.0)
     ha = h ** alpha
-    # Incremental weight tables: dp[i] = (i+1)^a - i^a gives the predictor
-    # weights, d2q[i] the interior corrector weights (second difference of
-    # i^(a+1)); both match abm_weights() node for node.
-    p = np.arange(n + 1, dtype=float) ** alpha
-    dp = np.diff(p)
-    q = np.arange(n + 2, dtype=float) ** (alpha + 1.0)
-    d2q = q[2:] + q[:-2] - 2.0 * q[1:-1]
+    dp, d2q, start = adams_tables(order, n)
 
     for k in range(1, n + 1):
         lo = 0 if memory_window is None else max(0, k - memory_window)
@@ -115,7 +109,7 @@ def solve_fde_abm(
 
         a = np.empty(k - lo)
         if lo == 0:
-            a[0] = (k - 1) ** (alpha + 1.0) - (k - 1 - alpha) * k ** alpha
+            a[0] = start[k - 1]
             if k > 1:
                 a[1:] = d2q[k - 2:: -1]
         else:

@@ -38,7 +38,7 @@ from fracstab import (
     solve_fde_gl,
     solve_ode_rk4,
 )
-from fracstab.models import sica, teiv
+from fracstab.models import MODELS, sica, teiv
 
 FIG_INITIAL = np.array([596597.568, 74574.696, 37287.348, 37287.348])
 FIG_GRID = UniformGrid(0.0, 2000.0 / 5000, 5000)
@@ -194,7 +194,7 @@ def run_figure_experiment(beta, ball):
     p = sica.baseline_params(beta=beta)
     endemic = sica.endemic_threshold(p) > 1.0
     target = sica.sica_endemic(p) if endemic else sica.sica_disease_free(p)
-    functional = sica.sica_v1(p) if endemic else sica.sica_v0(p)
+    functional = sica.sica_v1(p, target) if endemic else sica.sica_v0(p)
     model = sica.sica_model(p)
     lines, ok = [], True
     for alpha in FIG_ORDERS:
@@ -280,7 +280,7 @@ def test_criterion_10_teiv_property_suite():
         if abs(teiv.teiv_r0(p) - 1.0) <= 1e-6:
             continue
         checked += 1
-        spectral_failures += 0 if teiv.r0_spectral_consistent(p) else 1
+        spectral_failures += 0 if MODELS["teiv"].spectral_consistent(p) else 1
 
     ok = cert_failures == 0 and spectral_failures == 0
     verdict(10, ok, f"decrescence failures {cert_failures}/40, "

@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from fracstab import ConfigError, FractionalOrder, UniformGrid, solve_fde_abm
+from fracstab import ConfigError, FractionalOrder, NewtonError, UniformGrid, solve_fde_abm
 from fracstab.cli import main
 from fracstab.config import config_from_dict, config_to_dict, load_config
 from fracstab.csvio import read_csv, write_csv
-from fracstab.models import sica
+from fracstab.models import sica, teiv
 
 BASE_SICA = {
     "model": "sica",
@@ -29,7 +29,6 @@ BASE_SICA = {
     "t_end": 50.0,
     "steps": 100,
     "functionals": ["v0"],
-    "outputs": {},
 }
 
 BASE_TEIV = {
@@ -44,7 +43,6 @@ BASE_TEIV = {
     "t_end": 100.0,
     "steps": 200,
     "functionals": ["teiv_at_anchor"],
-    "outputs": {},
 }
 
 
@@ -213,7 +211,15 @@ def test_cmd_report_disease_free_certified(tmp_path, capsys):
         assert "ball_entry_time_5pct" in entry
 
 
-def test_cmd_report_endemic_certified(tmp_path, capsys):
+def test_cmd_report_endemic_certified(tmp_path, capsys, monkeypatch):
+    newton_calls = []
+    newton = sica.damped_newton
+
+    def counted_newton(*args, **kwargs):
+        newton_calls.append(args)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(sica, "damped_newton", counted_newton)
     doc = copy.deepcopy(BASE_SICA)
     doc["params"]["beta"] = 0.866
     doc["functionals"] = ["v1"]
@@ -222,6 +228,8 @@ def test_cmd_report_endemic_certified(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["regime"] == "endemic"
     assert all(e["verdict"] == "endemic, certified" for e in out["per_order"])
+    # the endemic point is solved once and anchors the functional too
+    assert len(newton_calls) == 1
 
 
 def test_cmd_report_flags_mass_action_inconsistency(tmp_path, capsys):
@@ -241,3 +249,14 @@ def test_cmd_report_flags_mass_action_inconsistency(tmp_path, capsys):
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):
+    def failing_newton(*args, **kwargs):
+        raise NewtonError("no convergence after 200 iterations")
+
+    monkeypatch.setattr(teiv, "damped_newton", failing_newton)
+    code = main(["report", "--config", write_config(tmp_path, BASE_TEIV)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "NewtonError", "message": "no convergence after 200 iterations"}

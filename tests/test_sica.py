@@ -1,8 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from fracstab import ContractError, DomainError, NoEndemicEquilibriumError, field_derivative
-from fracstab.models import sica
+from fracstab.models import MODELS, sica
 
 # endemic equilibrium under standard incidence for the beta = 0.866 set,
 # frozen from an independent root-finding oracle (scipy.optimize.fsolve,
@@ -44,17 +47,17 @@ def test_derived_rates():
 
 def test_params_json_round_trip():
     p = baseline(beta=0.866, incidence="mass_action")
-    doc = sica.params_to_json(p)
+    doc = json.loads(json.dumps(dataclasses.asdict(p)))
     assert doc["lambda_"] == 10724.0
     assert doc["incidence"] == "mass_action"
-    assert sica.params_from_json(doc) == p
+    assert MODELS["sica"].params_from_json(doc) == p
 
 
 def test_params_json_rejects_unknown_field():
-    doc = sica.params_to_json(baseline())
+    doc = dataclasses.asdict(baseline())
     doc["betta"] = doc.pop("beta")
     with pytest.raises(ContractError):
-        sica.params_from_json(doc)
+        MODELS["sica"].params_from_json(doc)
 
 
 # ---------------------------------------------------------------- vector field
@@ -162,7 +165,7 @@ def admissible_states(rng, anchor, count):
 def test_v1_zero_at_endemic_positive_elsewhere():
     p = baseline(beta=0.866)
     eq = sica.sica_endemic(p)
-    v1 = sica.sica_v1(p)
+    v1 = sica.sica_v1(p, eq)
     assert v1.value(eq) == pytest.approx(0.0, abs=1e-9)
     rng = np.random.default_rng(3)
     for state in admissible_states(rng, eq, 50):
@@ -173,7 +176,7 @@ def test_v1_zero_at_endemic_positive_elsewhere():
 def test_v1_orbital_derivative_nonpositive():
     p = baseline(beta=0.866)
     eq = sica.sica_endemic(p)
-    v1 = sica.sica_v1(p)
+    v1 = sica.sica_v1(p, eq)
     model = sica.sica_model(p)
     rng = np.random.default_rng(17)
     for state in admissible_states(rng, eq, 300):
@@ -223,7 +226,7 @@ def test_r0_threshold_matches_linearized_stability():
         p = random_params(rng)
         if abs(sica.sica_r0(p) - 1.0) <= 1e-6:
             continue
-        assert sica.r0_spectral_consistent(p), sica.params_to_json(p)
+        assert MODELS["sica"].spectral_consistent(p), p
         checked += 1
 
 
@@ -233,5 +236,4 @@ def test_mass_action_baseline_is_spectrally_inconsistent():
     # even though the reported reproduction number is far below one
     p = baseline(incidence="mass_action")
     assert sica.sica_r0(p) < 1.0
-    assert not sica.dfe_spectrally_stable(p)
-    assert not sica.r0_spectral_consistent(p)
+    assert not MODELS["sica"].spectral_consistent(p)

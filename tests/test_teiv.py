@@ -15,7 +15,7 @@ from fracstab import (
     psi,
     solve_fde_abm,
 )
-from fracstab.models import teiv
+from fracstab.models import MODELS, teiv
 
 
 def demo_params(**overrides):
@@ -56,16 +56,6 @@ def test_params_allow_zero_saturation():
     assert p.alpha1 == 0.0
     with pytest.raises(ContractError):
         demo_params(alpha2=-0.01)
-
-
-def test_params_json_round_trip():
-    p = demo_params()
-    doc = teiv.params_to_json(p)
-    assert doc["lambda_"] == 5.0 and doc["alpha3"] == 0.001
-    assert teiv.params_from_json(doc) == p
-    doc["mu"] = 1.0
-    with pytest.raises(ContractError):
-        teiv.params_from_json(doc)
 
 
 # ---------------------------------------------------------------- incidence and field
@@ -243,5 +233,5 @@ def test_r0_threshold_matches_linearized_stability():
         p = random_params(rng)
         if abs(teiv.teiv_r0(p) - 1.0) <= 1e-6:
             continue
-        assert teiv.r0_spectral_consistent(p), teiv.params_to_json(p)
+        assert MODELS["teiv"].spectral_consistent(p), p
         checked += 1

@@ -78,6 +78,22 @@ class SampledSignal:
         object.__setattr__(self, "values", v)
 
 
+def fft_size(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < m:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function for positive real arguments.
 
@@ -111,8 +127,12 @@ def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
         j = np.arange(n + 1, dtype=float)
         c = j[1:] ** (1.0 - alpha) - j[:-1] ** (1.0 - alpha)
         scale = h ** (-alpha) / gamma_fn(2.0 - alpha)
-        # out[k] = scale * sum_{j=0}^{k-1} c[j] * du[k-1-j]  (full convolution)
-        out[1:] = scale * np.convolve(c, du)[:n]
+        # out[k] = scale * sum_{j=0}^{k-1} c[j] * du[k-1-j], by a real FFT
+        # zero-padded to at least 2n - 1 so the circular product does not wrap
+        size = fft_size(2 * n - 1)
+        spectrum = np.fft.rfft(c, size)
+        spectrum *= np.fft.rfft(du, size)
+        out[1:] = scale * np.fft.irfft(spectrum, size)[:n]
     out[0] = out[1]
     return SampledSignal(grid, out, node0_copied=True)
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .caputo import FractionalOrder
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, FracstabError
 from .models import MODELS, ModelSpec
 
 _TOP_FIELDS = {
@@ -70,20 +70,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     model = doc["model"]
     try:
-        params = _spec_of(model).params_from_json(doc["params"])
-        orders = tuple(FractionalOrder(a) for a in doc["orders"])
+        return ExperimentConfig(
+            model=model,
+            params=_spec_of(model).params_from_json(doc["params"]),
+            orders=tuple(FractionalOrder(a) for a in doc["orders"]),
+            initial_state=tuple(float(x) for x in doc["initial_state"]),
+            t_end=float(doc["t_end"]),
+            steps=int(doc["steps"]),
+            functionals=tuple(doc.get("functionals", ())),
+        )
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return ExperimentConfig(
-        model=model,
-        params=params,
-        orders=orders,
-        initial_state=tuple(float(x) for x in doc["initial_state"]),
-        t_end=float(doc["t_end"]),
-        steps=int(doc["steps"]),
-        functionals=tuple(doc.get("functionals", ())),
-    )
+    except FracstabError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mistyped config value: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

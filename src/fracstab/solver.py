@@ -3,9 +3,10 @@
 Schemes:
 
 * ``solve_fde_abm`` -- fractional Adams-Bashforth-Moulton predictor-corrector
-  (one corrector pass, full memory by default), the primary scheme;
-* ``solve_fde_gl``  -- explicit Grunwald-Letnikov scheme, kept as an
-  independent cross-check oracle;
+  (one corrector pass; exact full memory, block-FFT history sums,
+  O(N log^2 N)), the primary scheme;
+* ``solve_fde_gl``  -- explicit Grunwald-Letnikov scheme with direct history
+  sums, kept as an independent cross-check oracle;
 * ``solve_ode_rk4`` -- classical fixed-step RK4 for the alpha = 1 reference.
 
 A single solve is sequential (each step needs the full history); distinct
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .caputo import FractionalOrder, UniformGrid, adams_tables, gamma_fn, gl_weights
+from .caputo import FractionalOrder, UniformGrid, adams_tables, fft_size, gamma_fn, gl_weights
 from .errors import ContractError, DivergenceError
 
 
@@ -72,18 +73,25 @@ def _guard_finite(x: np.ndarray, node: int) -> None:
         raise DivergenceError(node)
 
 
+# Length of the near-field blocks of the ABM history sums.
+_BLOCK = 64
+
+
 def solve_fde_abm(
     model: ModelDefinition,
     order: FractionalOrder,
     x0,
     grid: UniformGrid,
-    memory_window: int | None = None,
 ) -> Trajectory:
     """Predictor-corrector (PECE) solution of D^alpha u = rhs(u), u(t0) = x0.
 
-    ``memory_window`` optionally truncates the history sums to the last
-    ``memory_window`` steps (short-memory principle); the default keeps
-    the full O(N^2) memory.
+    Exact full memory, block-FFT history sums, O(N log^2 N).  With node
+    0's corrector weight folded in up front, the predictor and corrector
+    history sums at node k are Toeplitz sums over the rhs at nodes 0..k-1.
+    Sources in the current block of ``_BLOCK`` nodes are summed directly;
+    older ones were added by FFT at block boundaries (``_add_far_field``,
+    after Hairer, Lubich & Schlichte 1985) to the rows of ``xs`` and
+    ``fs`` that are not yet computed.
     """
     x0 = _check_x0(model, x0)
     alpha = order.alpha
@@ -91,34 +99,64 @@ def solve_fde_abm(
     n = grid.n_steps
     f = model.rhs
 
+    ha = h ** alpha
+    cp = ha / (alpha * gamma_fn(alpha))
+    cq = ha / gamma_fn(alpha + 2.0)
+    dp, d2q, start = adams_tables(order, n)
+    # Scaled predictor (row 0) and corrector (row 1) kernels, reversed: the
+    # weights of the m nodes before node k are the last m columns.
+    reversed_kernels = np.stack([cp * dp[::-1], cq * d2q[::-1]])
+
     xs = np.empty((n + 1, model.dimension))
     fs = np.empty_like(xs)
     xs[0] = x0
     fs[0] = f(x0)
-
-    ga = gamma_fn(alpha)
-    ga2 = gamma_fn(alpha + 2.0)
-    ha = h ** alpha
-    dp, d2q, start = adams_tables(order, n)
+    # Until node k is computed, xs[k] and fs[k] hold x0 plus the scaled
+    # far-field predictor and corrector sums.  The corrector kernel gives
+    # node 0 the weight d2q[k-1] in place of start[k-1]; the difference
+    # starts in fs[k].
+    xs[1:] = x0
+    np.outer(cq * (start - d2q), fs[0], out=fs[1:])
+    fs[1:] += x0
+    del dp, d2q, start  # free before the FFTs, which set the peak memory
 
     for k in range(1, n + 1):
-        lo = 0 if memory_window is None else max(0, k - memory_window)
-        b = (ha / alpha) * dp[k - 1 - lo::-1][: k - lo]
-        pred = x0 + np.tensordot(b, fs[lo:k], axes=1) / ga
+        m = k % _BLOCK
+        if m == 0:
+            _add_far_field(xs, fs, reversed_kernels[:, ::-1], k)
+        near = reversed_kernels[:, n - m:] @ fs[k - m:k]
+        pred = xs[k] + near[0]
         _guard_finite(pred, k)
-
-        a = np.empty(k - lo)
-        if lo == 0:
-            a[0] = start[k - 1]
-            if k > 1:
-                a[1:] = d2q[k - 2:: -1]
-        else:
-            a[:] = d2q[k - lo - 1:: -1][: k - lo]
-        xs[k] = x0 + (ha / ga2) * (np.tensordot(a, fs[lo:k], axes=1) + f(pred))
+        xs[k] = fs[k] + near[1] + cq * f(pred)
         _guard_finite(xs[k], k)
         fs[k] = f(xs[k])
 
     return Trajectory(grid, xs, order, model.name)
+
+
+def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int) -> None:
+    """Add the sources at nodes [e - r, e) to the sums of targets [e, e + r).
+
+    ``e`` is a multiple of ``_BLOCK``, and r = _BLOCK * 2^j is the block
+    size at which e / r is odd, so each earlier source reaches each later
+    block through exactly one such transfer.  Of the T = min(r, N + 1 - e)
+    targets, target e + t takes source e - r + i with kernel entry
+    r - 1 + t - i < r + T - 1, so a real FFT of at least that length gives
+    the sums without wrap-around.  One kernel and one column at a time
+    keep the temporaries small.
+    """
+    r = _BLOCK
+    while (e // r) % 2 == 0:
+        r *= 2
+    hi = min(e + r, xs.shape[0])
+    size = fft_size(r + hi - e - 1)
+    out = slice(r - 1, r - 1 + hi - e)
+    for acc, kernel in zip((xs, fs), kernels):
+        spectrum = np.fft.rfft(kernel[:size], size)
+        for c in range(xs.shape[1]):
+            product = np.fft.rfft(fs[e - r:e, c], size)
+            product *= spectrum
+            acc[e:hi, c] += np.fft.irfft(product, size)[out]
 
 
 def solve_fde_gl(
@@ -126,9 +164,12 @@ def solve_fde_gl(
     order: FractionalOrder,
     x0,
     grid: UniformGrid,
-    memory_window: int | None = None,
 ) -> Trajectory:
-    """Explicit Grunwald-Letnikov solution; independent oracle for ABM."""
+    """Explicit Grunwald-Letnikov solution; independent oracle for ABM.
+
+    Keeps direct O(N^2) history sums, so it shares no summation code with
+    ``solve_fde_abm``.
+    """
     x0 = _check_x0(model, x0)
     alpha = order.alpha
     h = grid.h
@@ -141,8 +182,7 @@ def solve_fde_gl(
     #   h^-alpha * sum_j w_j v_{k-j} = rhs(u_{k-1})
     v = np.zeros((n + 1, model.dimension))
     for k in range(1, n + 1):
-        lo = 1 if memory_window is None else max(1, k - memory_window)
-        conv = np.tensordot(w[lo: k + 1], v[k - lo:: -1][: k - lo + 1], axes=1)
+        conv = np.tensordot(w[1: k + 1], v[k - 1:: -1], axes=1)
         v[k] = ha * f(x0 + v[k - 1]) - conv
         _guard_finite(v[k], k)
     return Trajectory(grid, x0 + v, order, model.name)

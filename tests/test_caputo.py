@@ -14,6 +14,7 @@ from fracstab import (
     gl_weights,
     l1_caputo,
 )
+from fracstab.caputo import fft_size
 
 
 def make_signal(fn, h, n, t0=0.0):
@@ -116,6 +117,35 @@ def test_l1_quadratic_signal_accuracy_improves_like_h():
     # theoretical rate 2 - alpha = 1.5, approached from below
     assert 1.4 < order < 1.55
     assert errs[2] < errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_l1_matches_direct_sum_at_every_node(alpha):
+    # the FFT product against the direct L1 sum, node by node, relative to
+    # the sum of the absolute terms of that node's sum
+    n, h = 3000, 0.01
+    sig = make_signal(lambda t: np.exp(-t / 5.0) * (1.0 + 0.3 * np.sin(4.0 * t)), h=h, n=n)
+    out = l1_caputo(sig, FractionalOrder(alpha))
+    j = np.arange(n + 1, dtype=float)
+    c = j[1:] ** (1.0 - alpha) - j[:-1] ** (1.0 - alpha)
+    du = np.diff(sig.values)
+    direct = np.array([c[:k][::-1] @ du[:k] for k in range(1, n + 1)])
+    magnitude = np.array([np.abs(c[:k][::-1]) @ np.abs(du[:k]) for k in range(1, n + 1)])
+    scale = h ** (-alpha) / gamma_fn(2.0 - alpha)
+    assert np.all(np.abs(out.values[1:] - scale * direct) <= 1e-12 * scale * magnitude)
+
+
+def test_fft_size_is_smallest_5_smooth_length():
+    def smooth(x):
+        for p in (2, 3, 5):
+            while x % p == 0:
+                x //= p
+        return x == 1
+
+    for m in range(1, 3000):
+        size = fft_size(m)
+        assert size >= m and smooth(size)
+        assert not any(smooth(k) for k in range(m, size))
 
 
 # ---------------------------------------------------------------- GL weights

@@ -251,6 +251,23 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("initial_state", ["a", 1, 2, 3]),
+    ("params", 5),
+    ("steps", "x"),
+    ("orders", 0.5),
+    ("t_end", None),
+    ("functionals", [["v0"]]),
+])
+def test_mistyped_config_value_exits_2_with_json_error(tmp_path, capsys, field, value):
+    doc = copy.deepcopy(BASE_SICA)
+    doc[field] = value
+    code = main(["r0", "--config", write_config(tmp_path, doc)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+
+
 def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):
     def failing_newton(*args, **kwargs):
         raise NewtonError("no convergence after 200 iterations")

@@ -17,6 +17,7 @@ from fracstab import (
     solve_ode_rk4,
     undershoot_report,
 )
+from fracstab.caputo import adams_tables
 
 # one-step Mittag-Leffler fact, frozen from an independent special-function
 # oracle: E_{1/2}(-1) = exp(1) * erfc(1)
@@ -102,34 +103,60 @@ def test_abm_weights_drive_the_solver(alpha):
     np.testing.assert_allclose(np.array(xs), traj.states, rtol=1e-14, atol=0.0)
 
 
-def test_abm_full_memory_window_equals_default():
-    grid = UniformGrid(0.0, 0.02, 60)
-    order = FractionalOrder(0.7)
-    full = solve_fde_abm(decay_model(), order, [1.0], grid)
-    windowed = solve_fde_abm(decay_model(), order, [1.0], grid, memory_window=60)
-    np.testing.assert_array_equal(full.states, windowed.states)
+def direct_pece(model, order, x0, grid):
+    """PECE with direct history sums over ``adams_tables``: the reference
+    for the solver's block-FFT sums.  Returns the states and the first
+    non-finite node, or None."""
+    alpha, h, n = order.alpha, grid.h, grid.n_steps
+    dp, d2q, start = adams_tables(order, n)
+    ha = h ** alpha
+    xs = np.empty((n + 1, len(x0)))
+    fs = np.empty_like(xs)
+    xs[0], fs[0] = x0, model.rhs(x0)
+    for k in range(1, n + 1):
+        b = dp[k - 1::-1]
+        a = np.concatenate([[start[k - 1]], d2q[k - 2::-1] if k > 1 else []])
+        pred = x0 + (ha / alpha) * (b @ fs[:k]) / gamma_fn(alpha)
+        if not np.isfinite(pred).all():
+            return xs[:k], k
+        xs[k] = x0 + (ha / gamma_fn(alpha + 2.0)) * (a @ fs[:k] + model.rhs(pred))
+        if not np.isfinite(xs[k]).all():
+            return xs[:k], k
+        fs[k] = model.rhs(xs[k])
+    return xs, None
 
 
-def test_abm_short_memory_error_shrinks_with_window():
-    # fixed-window truncation trades accuracy for cost: the deviation from
-    # the full-memory solution must shrink monotonically as the window grows
-    grid = UniformGrid(0.0, 0.01, 300)
-    order = FractionalOrder(0.8)
-    full = solve_fde_abm(decay_model(), order, [1.0], grid)
-    gaps = []
-    for window in (75, 150, 250):
-        short = solve_fde_abm(decay_model(), order, [1.0], grid, memory_window=window)
-        assert np.isfinite(short.states).all()
-        gaps.append(np.abs(full.states - short.states).max())
-    assert gaps[2] < gaps[1] < gaps[0]
+def brusselator():
+    return ModelDefinition(
+        2, lambda u: np.array([1.0 - 4.0 * u[0] + u[0] ** 2 * u[1], 3.0 * u[0] - u[0] ** 2 * u[1]]),
+        "brusselator", ("x", "y"),
+    )
 
 
-def test_gl_memory_window_matches_full_when_covering():
-    grid = UniformGrid(0.0, 0.02, 40)
-    order = FractionalOrder(0.6)
-    full = solve_fde_gl(decay_model(), order, [1.0], grid)
-    windowed = solve_fde_gl(decay_model(), order, [1.0], grid, memory_window=40)
-    np.testing.assert_array_equal(full.states, windowed.states)
+@pytest.mark.parametrize("n", [40, 700, 1500])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.0])
+def test_abm_fast_history_matches_direct_sums(n, alpha):
+    # n = 40 stays inside the first near-field block; 700 and 1500 (no
+    # powers of two) cross several dyadic far-field levels
+    model, order = brusselator(), FractionalOrder(alpha)
+    grid = UniformGrid(0.0, 0.05, n)
+    x0 = np.array([1.2, 2.5])
+    ref, node = direct_pece(model, order, x0, grid)
+    assert node is None
+    traj = solve_fde_abm(model, order, x0, grid)
+    np.testing.assert_allclose(traj.states, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_abm_divergence_node_matches_direct_sums_past_a_block():
+    # slow growth that blows up after the first far-field transfer at node 64
+    blow_up = ModelDefinition(1, lambda u: 0.02 * u ** 2, "quadratic_growth", ("u",))
+    order, grid, x0 = FractionalOrder(0.8), UniformGrid(0.0, 0.5, 400), np.array([1.0])
+    _, node = direct_pece(blow_up, order, x0, grid)
+    assert node is not None and node > 64
+    with pytest.raises(DivergenceError) as err:
+        solve_fde_abm(blow_up, order, x0, grid)
+    assert err.value.node == node
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

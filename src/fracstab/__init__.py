@@ -1,20 +1,18 @@
 """fracstab: Caputo fractional-order solvers with Lyapunov certification.
 
 Integrates Caputo fractional dynamical systems (Adams-Bashforth-Moulton
-predictor-corrector, Grunwald-Letnikov cross-check), builds Volterra-type
-Lyapunov functionals, and numerically certifies stability inequalities
-along computed trajectories.  Ships two four-compartment HIV models
-(population-level SICA, cellular-level TEIV) and a CLI for reproducing
-the associated convergence experiments.
+predictor-corrector), builds Volterra-type Lyapunov functionals, and
+numerically certifies stability inequalities along computed trajectories.
+Ships two four-compartment HIV models (population-level SICA,
+cellular-level TEIV) and a CLI for reproducing the associated convergence
+experiments.
 """
 
 from .caputo import (
     FractionalOrder,
     SampledSignal,
     UniformGrid,
-    abm_weights,
     gamma_fn,
-    gl_weights,
     l1_caputo,
 )
 from .errors import (
@@ -40,7 +38,6 @@ from .lyapunov import (
     field_derivative,
     identity_g,
     lemma_certificate,
-    psi,
     psi_profile,
 )
 from .newton import damped_newton
@@ -48,9 +45,6 @@ from .solver import (
     ModelDefinition,
     Trajectory,
     solve_fde_abm,
-    solve_fde_gl,
-    solve_ode_rk4,
-    undershoot_report,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +68,6 @@ __all__ = [
     "SampledSignal",
     "Trajectory",
     "UniformGrid",
-    "abm_weights",
     "build_log_volterra",
     "caputo_of_functional",
     "damped_newton",
@@ -82,14 +75,9 @@ __all__ = [
     "default_tolerance",
     "field_derivative",
     "gamma_fn",
-    "gl_weights",
     "identity_g",
     "l1_caputo",
     "lemma_certificate",
-    "psi",
     "psi_profile",
     "solve_fde_abm",
-    "solve_fde_gl",
-    "solve_ode_rk4",
-    "undershoot_report",
 ]

@@ -1,9 +1,8 @@
 """Discrete fractional-calculus primitives on uniform time grids.
 
 Provides the L1 discretization of the Caputo derivative of a sampled
-signal, Grunwald-Letnikov binomial weights, and the fractional Adams
-(predictor-corrector) quadrature weights.  All arithmetic is 64-bit
-floating point; all functions are pure.
+signal and the fractional Adams (predictor-corrector) quadrature tables.
+All arithmetic is 64-bit floating point; all functions are pure.
 """
 
 from __future__ import annotations
@@ -137,18 +136,6 @@ def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
     return SampledSignal(grid, out, node0_copied=True)
 
 
-def gl_weights(order: FractionalOrder, count: int) -> np.ndarray:
-    """Grunwald-Letnikov weights w_0..w_count, w_j = (-1)^j C(alpha, j)."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    alpha = order.alpha
-    w = np.empty(count + 1)
-    w[0] = 1.0
-    for j in range(1, count + 1):
-        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return w
-
-
 def adams_tables(order: FractionalOrder, n_steps: int):
     """Unnormalized fractional Adams weights for steps 1..n_steps.
 
@@ -163,25 +150,3 @@ def adams_tables(order: FractionalOrder, n_steps: int):
     start = np.fromiter(((k - 1) ** (alpha + 1.0) - (k - 1 - alpha) * k ** alpha
                          for k in range(1, n_steps + 1)), float, n_steps)
     return np.diff(p), q[2:] + q[:-2] - 2.0 * q[1:-1], start
-
-
-def abm_weights(order: FractionalOrder, step_index: int, h: float = 1.0):
-    """Fractional Adams quadrature weights for advancing to node step_index.
-
-    Returns ``(b, a)`` where ``b`` (length k) are the predictor
-    rectangle-type weights b_j = (h^alpha/alpha)((k-j)^alpha - (k-1-j)^alpha)
-    and ``a`` (length k+1) the corrector weights including their
-    h^alpha/Gamma(alpha+2) normalization; ``a[-1]`` multiplies the
-    right-hand side at the predicted node.  A consumer of ``b`` still
-    divides the weighted sum by Gamma(alpha).  At alpha = 1 the predictor
-    weights are all h and the corrector reduces to the trapezoidal rule.
-    Both are slices of ``adams_tables``, the tables the solver uses.
-    """
-    if step_index < 1:
-        raise DomainError(f"step_index must be >= 1, got {step_index}")
-    alpha = order.alpha
-    k = step_index
-    dp, d2q, start = adams_tables(order, k)
-    b = (h ** alpha / alpha) * dp[::-1]
-    a = np.concatenate([[start[k - 1]], d2q[: k - 1][::-1], [1.0]])
-    return b, a * (h ** alpha / gamma_fn(alpha + 2.0))

@@ -1,4 +1,4 @@
-"""Experiment configuration: strict JSON parsing and round-trip serialization.
+"""Experiment configuration: strict JSON parsing.
 
 Unknown fields are hard errors — a silently ignored typo in a rate name
 would invalidate every certificate downstream.
@@ -7,7 +7,7 @@ would invalidate every certificate downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,33 +70,24 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     model = doc["model"]
     try:
+        steps = int(doc["steps"])
+        if steps != doc["steps"]:  # a fraction or a string, not truncated
+            raise ConfigError(f"steps must be an integer, got {doc['steps']!r}")
         return ExperimentConfig(
             model=model,
             params=_spec_of(model).params_from_json(doc["params"]),
             orders=tuple(FractionalOrder(a) for a in doc["orders"]),
             initial_state=tuple(float(x) for x in doc["initial_state"]),
             t_end=float(doc["t_end"]),
-            steps=int(doc["steps"]),
+            steps=steps,
             functionals=tuple(doc.get("functionals", ())),
         )
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
     except FracstabError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"mistyped config value: {exc}") from exc
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "model": cfg.model,
-        "params": asdict(cfg.params),
-        "orders": [o.alpha for o in cfg.orders],
-        "initial_state": list(cfg.initial_state),
-        "t_end": cfg.t_end,
-        "steps": cfg.steps,
-        "functionals": list(cfg.functionals),
-    }
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -15,13 +15,11 @@ and the decrescence of a discrete Caputo-derivative signal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .caputo import FractionalOrder, SampledSignal, UniformGrid, l1_caputo
 from .errors import ContractError, DomainError
@@ -101,16 +99,6 @@ class LyapunovFunctional:
     psi_parts: tuple
     cross_quad_parts: tuple = ()
 
-    def value(self, state) -> float:
-        state = np.asarray(state, dtype=float)
-        total = 0.0
-        for part in self.psi_parts:
-            total += part.weight * psi(part.g, part.xstar, state[part.component_index])
-        for part in self.cross_quad_parts:
-            dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
-            total += 0.5 * part.weight * dev ** 2
-        return total
-
     def values_along(self, states: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over a (n_nodes, dim) state array."""
         states = np.asarray(states, dtype=float)
@@ -150,29 +138,6 @@ class Certificate:
         if self.order is not None:
             out["order"] = self.order.alpha
         return out
-
-
-def _check_positive_x(x: float, xstar: float) -> None:
-    if x <= 0:
-        raise DomainError(f"psi with positive anchor needs x > 0, got {x}")
-    if xstar > 0 and x < _X_FLOOR:
-        raise DomainError(f"psi evaluation at x = {x} is inside the singular guard band")
-
-
-def psi(g: GFunction, xstar: float, x: float) -> float:
-    """Anchored component x - xstar - integral_{xstar}^{x} g(xstar)/g(s) ds.
-
-    Reduces to ``x`` exactly when xstar = 0; uses the closed log form for
-    the identity g and adaptive quadrature (1e-10 absolute) otherwise.
-    """
-    if xstar == 0.0:
-        return float(x)
-    _check_positive_x(x, xstar)
-    if g.is_identity:
-        return x - xstar - xstar * math.log(x / xstar)
-    gbar = g(xstar)
-    integral, _ = quad(lambda s: gbar / g(s), xstar, x, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return x - xstar - integral
 
 
 def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ContractError
+from ..newton import _fd_jacobian
 from . import sica, teiv
 
 
@@ -25,10 +26,10 @@ class ModelSpec:
     model: Callable               # params -> ModelDefinition
     r0: Callable                  # params -> reproduction number
     threshold: Callable           # params -> persistence threshold (endemic above 1)
-    free: Callable                # params -> disease-free equilibrium
+    free: Callable                # params -> disease-free equilibrium; its zero
+                                  # components are the infected subsystem
     endemic: Callable             # params -> endemic equilibrium; raises below threshold 1
     functional_at: Callable       # (params, equilibrium) -> LyapunovFunctional anchored there
-    free_jacobian: Callable       # params -> infected-subsystem Jacobian at the free equilibrium
     r0_document: Callable         # params -> dict printed by the r0 command
 
     def params_from_json(self, doc: dict):
@@ -52,13 +53,19 @@ class ModelSpec:
     def spectral_consistent(self, params, margin: float = 1e-6) -> bool:
         """Whether R0 < 1 agrees with linear stability of the free equilibrium.
 
-        Parameters within ``margin`` of R0 = 1 count as consistent (the
-        spectral test is not meaningful there).
+        The stability test takes the eigenvalues of the rhs Jacobian (central
+        differences) restricted to the components that are zero at the free
+        equilibrium, so it checks the R0 formula against the vector field
+        itself.  Parameters within ``margin`` of R0 = 1 count as consistent
+        (the spectral test is not meaningful there).
         """
         r0 = self.r0(params)
         if abs(r0 - 1.0) <= margin:
             return True
-        eigs = np.linalg.eigvals(self.free_jacobian(params))
+        free = self.free(params)
+        infected = np.flatnonzero(free == 0.0)
+        jac = _fd_jacobian(self.model(params).rhs, free)[np.ix_(infected, infected)]
+        eigs = np.linalg.eigvals(jac)
         return bool((eigs.real < 0).all()) == (r0 < 1.0)
 
 
@@ -72,7 +79,6 @@ MODELS: dict[str, ModelSpec] = {
         free=lambda p: sica.sica_disease_free(p),
         endemic=lambda p: sica.sica_endemic(p),
         functional_at=lambda p, eq: sica.sica_v1(p, eq),
-        free_jacobian=lambda p: sica.disease_jacobian_at_dfe(p),
         r0_document=lambda p: sica.sica_r0_document(p),
     ),
     "teiv": ModelSpec(
@@ -84,7 +90,6 @@ MODELS: dict[str, ModelSpec] = {
         free=lambda p: teiv.teiv_infection_free(p),
         endemic=lambda p: teiv.teiv_chronic(p),
         functional_at=lambda p, eq: teiv.teiv_lyapunov(p, eq),
-        free_jacobian=lambda p: teiv.infected_jacobian_at_ife(p),
         r0_document=lambda p: teiv.teiv_r0_document(p),
     ),
 }

@@ -174,19 +174,6 @@ def sica_v0(p: SicaParams) -> LyapunovFunctional:
     return sica_v1(p, sica_disease_free(p))
 
 
-def disease_jacobian_at_dfe(p: SicaParams) -> np.ndarray:
-    """Jacobian of the (I, C, A) subsystem at the disease-free equilibrium."""
-    if p.incidence == "standard":
-        transmission = p.beta  # beta * S0 / N0 with S0 = N0
-    else:
-        transmission = p.beta * p.lambda_ / p.mu
-    return np.array([
-        [transmission - (p.rho + p.phi + p.mu), p.omega, p.alpha_t],
-        [p.phi, -p.c_exit_rate, 0.0],
-        [p.rho, 0.0, -p.a_exit_rate],
-    ])
-
-
 def baseline_params(beta: float = 0.066, incidence: str = "standard") -> SicaParams:
     """Published baseline parameter set (beta = 0.866 for the endemic case)."""
     return SicaParams(

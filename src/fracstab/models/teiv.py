@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import ContractError, NewtonError, NoEndemicEquilibriumError
 from ..lyapunov import (
@@ -113,7 +112,15 @@ def _chronic_seed(p: TeivParams) -> np.ndarray:
     lo = 1e-12 * t0
     if resid(lo) >= 0 or resid(t0) <= 0:
         raise NewtonError("chronic-equilibrium bracket failed")
-    T = brentq(resid, lo, t0, xtol=1e-12 * t0)
+    # resid rises with T on the bracket: bisect to the same 1e-12 t0 width
+    hi = t0
+    while hi - lo > 1e-12 * t0:
+        mid = 0.5 * (lo + hi)
+        if resid(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    T = 0.5 * (lo + hi)
     E = (p.lambda_ - p.mu_T * T) / (p.mu_E + p.gamma)
     I = p.gamma * E / p.mu_I
     return np.array([T, E, I, p.k * I / p.mu_V])
@@ -192,13 +199,3 @@ def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     )
     cross = (CrossQuadComponent(weight=cross_w, indices=(0, 1), anchors=(float(tbar), float(ebar))),)
     return LyapunovFunctional(psi_parts=tuple(psi_parts), cross_quad_parts=cross)
-
-
-def infected_jacobian_at_ife(p: TeivParams) -> np.ndarray:
-    """Jacobian of the (E, I, V) subsystem at the infection-free equilibrium."""
-    t0 = p.lambda_ / p.mu_T
-    return np.array([
-        [-p.eclipse_exit_rate, 0.0, teiv_incidence(p, t0, 0.0)],
-        [p.gamma, -p.mu_I, 0.0],
-        [0.0, p.k, -p.mu_V],
-    ])

@@ -1,13 +1,9 @@
-"""Time integration of Caputo fractional systems and their classical limits.
+"""Time integration of Caputo fractional systems.
 
-Schemes:
-
-* ``solve_fde_abm`` -- fractional Adams-Bashforth-Moulton predictor-corrector
-  (one corrector pass; exact full memory, block-FFT history sums,
-  O(N log^2 N)), the primary scheme;
-* ``solve_fde_gl``  -- explicit Grunwald-Letnikov scheme with direct history
-  sums, kept as an independent cross-check oracle;
-* ``solve_ode_rk4`` -- classical fixed-step RK4 for the alpha = 1 reference.
+``solve_fde_abm`` is the fractional Adams-Bashforth-Moulton
+predictor-corrector: one corrector pass, exact full memory, block-FFT
+history sums, O(N log^2 N).  The Grunwald-Letnikov and classical RK4
+solvers that cross-check it live with the tests, in ``tests/oracles.py``.
 
 A single solve is sequential (each step needs the full history); distinct
 solves share nothing and may run concurrently.
@@ -16,11 +12,11 @@ solves share nothing and may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .caputo import FractionalOrder, UniformGrid, adams_tables, fft_size, gamma_fn, gl_weights
+from .caputo import FractionalOrder, UniformGrid, adams_tables, fft_size, gamma_fn
 from .errors import ContractError, DivergenceError
 
 
@@ -157,62 +153,3 @@ def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int) 
             product = np.fft.rfft(fs[e - r:e, c], size)
             product *= spectrum
             acc[e:hi, c] += np.fft.irfft(product, size)[out]
-
-
-def solve_fde_gl(
-    model: ModelDefinition,
-    order: FractionalOrder,
-    x0,
-    grid: UniformGrid,
-) -> Trajectory:
-    """Explicit Grunwald-Letnikov solution; independent oracle for ABM.
-
-    Keeps direct O(N^2) history sums, so it shares no summation code with
-    ``solve_fde_abm``.
-    """
-    x0 = _check_x0(model, x0)
-    alpha = order.alpha
-    h = grid.h
-    n = grid.n_steps
-    f = model.rhs
-
-    w = gl_weights(order, n)
-    ha = h ** alpha
-    # v_k = u_k - u_0; shifted GL form of the Caputo operator:
-    #   h^-alpha * sum_j w_j v_{k-j} = rhs(u_{k-1})
-    v = np.zeros((n + 1, model.dimension))
-    for k in range(1, n + 1):
-        conv = np.tensordot(w[1: k + 1], v[k - 1:: -1], axes=1)
-        v[k] = ha * f(x0 + v[k - 1]) - conv
-        _guard_finite(v[k], k)
-    return Trajectory(grid, x0 + v, order, model.name)
-
-
-def solve_ode_rk4(model: ModelDefinition, x0, grid: UniformGrid) -> Trajectory:
-    """Classical fixed-step fourth-order Runge-Kutta solution of u' = rhs(u)."""
-    x0 = _check_x0(model, x0)
-    h = grid.h
-    f = model.rhs
-    xs = np.empty((grid.n_nodes, model.dimension))
-    xs[0] = x0
-    for k in range(1, grid.n_nodes):
-        x = xs[k - 1]
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        xs[k] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _guard_finite(xs[k], k)
-    return Trajectory(grid, xs, FractionalOrder(1.0), model.name)
-
-
-def undershoot_report(traj: Trajectory, tol_factor: float = 1e-8) -> list:
-    """Nodes where a component undershoots zero beyond discretization noise.
-
-    States are never clamped (clamping would bias Lyapunov certificates);
-    instead this post-hoc report lists (node, component) pairs whose value
-    lies below -tol_factor times the component's scale over the trajectory.
-    """
-    scales = np.maximum(np.abs(traj.states).max(axis=0), 1.0)
-    bad = np.argwhere(traj.states < -tol_factor * scales)
-    return [(int(node), int(comp)) for node, comp in bad]

@@ -35,10 +35,9 @@ from fracstab import (
     l1_caputo,
     lemma_certificate,
     solve_fde_abm,
-    solve_fde_gl,
-    solve_ode_rk4,
 )
 from fracstab.models import MODELS, sica, teiv
+from oracles import solve_fde_gl, solve_ode_rk4
 
 FIG_INITIAL = np.array([596597.568, 74574.696, 37287.348, 37287.348])
 FIG_GRID = UniformGrid(0.0, 2000.0 / 5000, 5000)

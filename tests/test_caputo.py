@@ -9,12 +9,11 @@ from fracstab import (
     GridError,
     SampledSignal,
     UniformGrid,
-    abm_weights,
     gamma_fn,
-    gl_weights,
     l1_caputo,
 )
-from fracstab.caputo import fft_size
+from fracstab.caputo import adams_tables, fft_size
+from oracles import gl_weights
 
 
 def make_signal(fn, h, n, t0=0.0):
@@ -182,26 +181,24 @@ def test_gl_weights_rejects_bad_count():
 # ---------------------------------------------------------------- Adams weights
 
 def test_abm_predictor_weight_first_step_half_order():
-    b, a = abm_weights(FractionalOrder(0.5), 1)
-    np.testing.assert_allclose(b, [2.0])
-    assert a.shape == (2,)
+    # first step at alpha = 1/2, h = 1: predictor weight (h^a/a) (1^a - 0^a)
+    # = 2, and node 0's corrector weight 0^(a+1) - (0 - a) 1^a = a
+    dp, d2q, start = adams_tables(FractionalOrder(0.5), 1)
+    np.testing.assert_allclose(dp / 0.5, [2.0])
+    np.testing.assert_allclose(start, [0.5])
 
 
 def test_abm_weights_classical_limit_trapezoid():
     h = 0.1
-    b, a = abm_weights(FractionalOrder(1.0), 3, h=h)
-    np.testing.assert_allclose(b, [h, h, h])
-    np.testing.assert_allclose(a, [h / 2, h, h, h / 2])
+    dp, d2q, start = adams_tables(FractionalOrder(1.0), 3)
+    np.testing.assert_allclose(h * dp, [h, h, h])
+    # corrector weights of nodes 0, 1, 2 and of the predicted node 3
+    weights = np.array([start[2], d2q[1], d2q[0], 1.0]) * h / gamma_fn(3.0)
+    np.testing.assert_allclose(weights, [h / 2, h, h, h / 2])
 
 
 def test_abm_corrector_weights_positive():
     for k in (1, 2, 5, 17):
-        b, a = abm_weights(FractionalOrder(0.35), k, h=0.01)
-        assert (b > 0).all()
-        assert (a > 0).all()
-        assert len(b) == k and len(a) == k + 1
-
-
-def test_abm_weights_rejects_bad_step():
-    with pytest.raises(DomainError):
-        abm_weights(FractionalOrder(0.5), 0)
+        dp, d2q, start = adams_tables(FractionalOrder(0.35), k)
+        assert (dp > 0).all() and (d2q > 0).all() and (start > 0).all()
+        assert len(dp) == len(d2q) == len(start) == k

@@ -7,7 +7,7 @@ import pytest
 
 from fracstab import ConfigError, FractionalOrder, NewtonError, UniformGrid, solve_fde_abm
 from fracstab.cli import main
-from fracstab.config import config_from_dict, config_to_dict, load_config
+from fracstab.config import config_from_dict, load_config
 from fracstab.csvio import read_csv, write_csv
 from fracstab.models import sica, teiv
 
@@ -53,12 +53,6 @@ def write_config(tmp_path, doc, name="config.json"):
 
 
 # ---------------------------------------------------------------- config parsing
-
-def test_config_round_trip_is_idempotent():
-    cfg = config_from_dict(copy.deepcopy(BASE_SICA))
-    doc = config_to_dict(cfg)
-    assert config_to_dict(config_from_dict(doc)) == doc
-
 
 def test_config_rejects_unknown_top_level_field():
     doc = copy.deepcopy(BASE_SICA)
@@ -258,6 +252,8 @@ def test_missing_config_file_is_config_error(tmp_path):
     ("orders", 0.5),
     ("t_end", None),
     ("functionals", [["v0"]]),
+    ("steps", 100.7),
+    ("steps", float("inf")),
 ])
 def test_mistyped_config_value_exits_2_with_json_error(tmp_path, capsys, field, value):
     doc = copy.deepcopy(BASE_SICA)

@@ -22,10 +22,9 @@ from fracstab import (
     identity_g,
     l1_caputo,
     lemma_certificate,
-    psi,
     psi_profile,
-    solve_ode_rk4,
 )
+from oracles import functional_value, psi, solve_ode_rk4
 
 
 def sqrt_g():
@@ -125,7 +124,7 @@ def test_quadratic_part_hand_value():
         psi_parts=(),
         cross_quad_parts=(CrossQuadComponent(weight=4.0, indices=(0,), anchors=(1.0,)),),
     )
-    assert fn.value([3.0]) == pytest.approx(0.5 * 4.0 * 4.0)
+    assert functional_value(fn, [3.0]) == pytest.approx(0.5 * 4.0 * 4.0)
 
 
 def test_cross_quadratic_part_hand_value():
@@ -134,7 +133,7 @@ def test_cross_quadratic_part_hand_value():
         cross_quad_parts=(CrossQuadComponent(weight=2.0, indices=(0, 1), anchors=(1.0, 2.0)),),
     )
     # deviation sum = (4-1) + (1-2) = 2, value = 0.5 * 2 * 2^2
-    assert fn.value([4.0, 1.0]) == pytest.approx(4.0)
+    assert functional_value(fn, [4.0, 1.0]) == pytest.approx(4.0)
 
 
 def test_values_along_matches_scalar_value():
@@ -151,14 +150,14 @@ def test_values_along_matches_scalar_value():
     )
     states = rng.uniform(0.2, 5.0, size=(40, 2))
     along = fn.values_along(states)
-    scalar = np.array([fn.value(s) for s in states])
+    scalar = np.array([functional_value(fn, s) for s in states])
     np.testing.assert_allclose(along, scalar, atol=1e-9)
 
 
 def test_build_log_volterra_zero_at_anchor():
     fn = build_log_volterra([(1.0, 2.0), (3.0, 0.0), (0.5, 4.0)])
-    assert fn.value([2.0, 0.0, 4.0]) == pytest.approx(0.0, abs=1e-12)
-    assert fn.value([2.5, 1.0, 3.0]) > 0.0
+    assert functional_value(fn, [2.0, 0.0, 4.0]) == pytest.approx(0.0, abs=1e-12)
+    assert functional_value(fn, [2.5, 1.0, 3.0]) > 0.0
 
 
 # ---------------------------------------------------------------- field derivative

@@ -6,6 +6,7 @@ import pytest
 
 from fracstab import ContractError, DomainError, NoEndemicEquilibriumError, field_derivative
 from fracstab.models import MODELS, sica
+from oracles import functional_value
 
 # endemic equilibrium under standard incidence for the beta = 0.866 set,
 # frozen from an independent root-finding oracle (scipy.optimize.fsolve,
@@ -166,11 +167,11 @@ def test_v1_zero_at_endemic_positive_elsewhere():
     p = baseline(beta=0.866)
     eq = sica.sica_endemic(p)
     v1 = sica.sica_v1(p, eq)
-    assert v1.value(eq) == pytest.approx(0.0, abs=1e-9)
+    assert functional_value(v1, eq) == pytest.approx(0.0, abs=1e-9)
     rng = np.random.default_rng(3)
     for state in admissible_states(rng, eq, 50):
         if not np.allclose(state, eq):
-            assert v1.value(state) > 0.0
+            assert functional_value(v1, state) > 0.0
 
 
 def test_v1_orbital_derivative_nonpositive():
@@ -187,8 +188,8 @@ def test_v0_values():
     p = baseline()
     v0 = sica.sica_v0(p)
     s0 = p.lambda_ / p.mu
-    assert v0.value([s0, 0.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-    assert v0.value([s0, 1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
+    assert functional_value(v0, [s0, 0.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert functional_value(v0, [s0, 1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_v0_orbital_derivative_nonpositive_below_threshold():
@@ -236,4 +237,17 @@ def test_mass_action_baseline_is_spectrally_inconsistent():
     # even though the reported reproduction number is far below one
     p = baseline(incidence="mass_action")
     assert sica.sica_r0(p) < 1.0
+    assert not MODELS["sica"].spectral_consistent(p)
+
+
+def test_spectral_check_reads_the_rhs(monkeypatch):
+    # R0 = 0.9, but an rhs whose transmission term is 1.2x the published
+    # one has the free point unstable: a check that linearizes the rhs
+    # must see the disagreement with the R0 formula
+    p = baseline(beta=0.066 * 0.9 / sica.sica_r0(baseline()))
+    assert sica.sica_r0(p) == pytest.approx(0.9)
+    assert MODELS["sica"].spectral_consistent(p)
+    rhs = sica.sica_rhs
+    monkeypatch.setattr(sica, "sica_rhs",
+                        lambda q, state: rhs(dataclasses.replace(q, beta=1.2 * q.beta), state))
     assert not MODELS["sica"].spectral_consistent(p)

@@ -8,16 +8,12 @@ from fracstab import (
     DivergenceError,
     FractionalOrder,
     ModelDefinition,
-    Trajectory,
     UniformGrid,
-    abm_weights,
     gamma_fn,
     solve_fde_abm,
-    solve_fde_gl,
-    solve_ode_rk4,
-    undershoot_report,
 )
 from fracstab.caputo import adams_tables
+from oracles import solve_fde_gl, solve_ode_rk4
 
 # one-step Mittag-Leffler fact, frozen from an independent special-function
 # oracle: E_{1/2}(-1) = exp(1) * erfc(1)
@@ -84,23 +80,6 @@ def test_rk4_fourth_order_accuracy():
     exact = np.exp(-grid.times())
     assert np.abs(traj.component(0) - exact).max() < 1e-9
     assert traj.order.is_classical
-
-
-@pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])
-def test_abm_weights_drive_the_solver(alpha):
-    # a hand-written PECE loop over the documented weights reproduces the
-    # solver, which slices the same tables in place
-    A = np.array([[-1.0, 0.5], [0.3, -0.7]])
-    model = ModelDefinition(2, lambda u: A @ u, "linear2", ("x", "y"))
-    order, h, x0 = FractionalOrder(alpha), 0.1, np.array([1.0, -2.0])
-    traj = solve_fde_abm(model, order, x0, UniformGrid(0.0, h, 5))
-    xs, fs = [x0], [A @ x0]
-    for k in range(1, 6):
-        b, a = abm_weights(order, k, h)
-        pred = x0 + b @ np.array(fs) / gamma_fn(alpha)
-        xs.append(x0 + a[:-1] @ np.array(fs) + a[-1] * (A @ pred))
-        fs.append(A @ xs[-1])
-    np.testing.assert_allclose(np.array(xs), traj.states, rtol=1e-14, atol=0.0)
 
 
 def direct_pece(model, order, x0, grid):
@@ -182,12 +161,3 @@ def test_trajectory_component_access():
     assert traj.component(0).shape == (11,)
     assert traj.component(1)[0] == 2.0
     assert traj.model_name == "diag"
-
-
-def test_undershoot_report_flags_negative_dips():
-    grid = UniformGrid(0.0, 0.1, 3)
-    states = np.array([[1.0, 1.0], [0.5, 1.0], [-0.1, 1.0], [0.2, 1.0]])
-    traj = Trajectory(grid, states, FractionalOrder(0.5), "synthetic")
-    assert undershoot_report(traj) == [(2, 0)]
-    clean = Trajectory(grid, np.abs(states), FractionalOrder(0.5), "synthetic")
-    assert undershoot_report(clean) == []

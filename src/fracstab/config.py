@@ -21,6 +21,14 @@ _TOP_FIELDS = {
 }
 
 
+def _number(value, name: str):
+    """``value`` itself, unless it is a JSON boolean, which Python counts as
+    the integer 0 or 1 but the schema does not count as a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got the boolean {json.dumps(value)}")
+    return value
+
+
 def _spec_of(model: str) -> ModelSpec:
     if model not in MODELS:
         raise ConfigError(f"model must be one of {tuple(MODELS)}, got {model!r}")
@@ -70,15 +78,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     model = doc["model"]
     try:
-        steps = int(doc["steps"])
+        steps = int(_number(doc["steps"], "steps"))
         if steps != doc["steps"]:  # a fraction or a string, not truncated
             raise ConfigError(f"steps must be an integer, got {doc['steps']!r}")
         return ExperimentConfig(
             model=model,
             params=_spec_of(model).params_from_json(doc["params"]),
-            orders=tuple(FractionalOrder(a) for a in doc["orders"]),
-            initial_state=tuple(float(x) for x in doc["initial_state"]),
-            t_end=float(doc["t_end"]),
+            orders=tuple(FractionalOrder(_number(a, "orders")) for a in doc["orders"]),
+            initial_state=tuple(float(_number(x, "initial_state")) for x in doc["initial_state"]),
+            t_end=float(_number(doc["t_end"], "t_end")),
             steps=steps,
             functionals=tuple(doc.get("functionals", ())),
         )

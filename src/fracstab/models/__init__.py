@@ -33,10 +33,19 @@ class ModelSpec:
     r0_document: Callable         # params -> dict printed by the r0 command
 
     def params_from_json(self, doc: dict):
-        """Params from a JSON object; unknown, missing or mistyped fields are errors."""
+        """Params from a JSON object; unknown, missing or mistyped fields are errors.
+
+        No field is a flag, so a JSON boolean is mistyped wherever it
+        appears, although Python would take it as the number 0 or 1.
+        """
+        if not isinstance(doc, dict):
+            raise ContractError(f"{self.params.__name__} must be a JSON object")
         unknown = set(doc) - {f.name for f in fields(self.params)}
         if unknown:
             raise ContractError(f"unknown {self.params.__name__} fields: {sorted(unknown)}")
+        booleans = sorted(name for name, value in doc.items() if isinstance(value, bool))
+        if booleans:
+            raise ContractError(f"{self.params.__name__} fields given a boolean: {booleans}")
         try:
             return self.params(**doc)
         except TypeError as exc:

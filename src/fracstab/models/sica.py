@@ -65,8 +65,12 @@ class SicaParams:
 
 
 def sica_rhs(p: SicaParams, state) -> np.ndarray:
-    """Right-hand side of the four-compartment field at a state (S, I, C, A)."""
-    S, I, C, A = np.asarray(state, dtype=float)
+    """Right-hand side of the four-compartment field at a state (S, I, C, A).
+
+    The state is unpacked to Python floats, whose arithmetic is the same
+    IEEE double arithmetic as numpy's scalars at a fraction of the cost.
+    """
+    S, I, C, A = np.asarray(state, dtype=float).tolist()
     if p.incidence == "standard":
         total = S + I + C + A
         if total == 0.0:

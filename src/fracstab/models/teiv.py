@@ -58,13 +58,28 @@ class TeivParams:
 
 
 def teiv_incidence(p: TeivParams, T: float, V: float) -> float:
-    """Saturated incidence beta*T / (1 + alpha1*T + alpha2*V + alpha3*T*V)."""
-    return p.beta * T / (1.0 + p.alpha1 * T + p.alpha2 * V + p.alpha3 * T * V)
+    """Saturated incidence beta*T / (1 + alpha1*T + alpha2*V + alpha3*T*V).
+
+    A zero denominator (reachable only through an undershoot, T or V
+    below 0) gives inf or nan, as numpy's division does, for Python floats
+    too: a solve through it then ends in a divergence, not an exception.
+    """
+    num = p.beta * T
+    den = 1.0 + p.alpha1 * T + p.alpha2 * V + p.alpha3 * T * V
+    try:
+        return num / den
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(num) / den)
 
 
 def teiv_rhs(p: TeivParams, state) -> np.ndarray:
-    """Right-hand side of the four-compartment field at a state (T, E, I, V)."""
-    T, E, I, V = np.asarray(state, dtype=float)
+    """Right-hand side of the four-compartment field at a state (T, E, I, V).
+
+    The state is unpacked to Python floats, whose arithmetic is the same
+    IEEE double arithmetic as numpy's scalars at a fraction of the cost.
+    """
+    T, E, I, V = np.asarray(state, dtype=float).tolist()
     fv = teiv_incidence(p, T, V) * V
     return np.array([
         p.lambda_ - p.mu_T * T - fv + p.rho * E,

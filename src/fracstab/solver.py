@@ -12,6 +12,7 @@ solves share nothing and may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable
 
 import numpy as np
@@ -24,8 +25,11 @@ from .errors import ContractError, DivergenceError
 class ModelDefinition:
     """Autonomous vector field u' = rhs(u) with labelled components.
 
-    ``rhs`` must be deterministic and side-effect free, mapping a state
-    array of length ``dimension`` to an array of the same length.
+    ``rhs`` must be deterministic and side-effect free.  It takes a float
+    ndarray of length ``dimension`` and returns a float ndarray of the
+    same length.  A division by zero inside it gives inf or nan rather
+    than raising, so that the solver's finiteness guard reports the solve
+    as a ``DivergenceError`` at that node.
     """
 
     dimension: int
@@ -62,11 +66,6 @@ def _check_x0(model: ModelDefinition, x0) -> np.ndarray:
     if not np.isfinite(x0).all():
         raise ContractError("initial state contains non-finite values")
     return x0
-
-
-def _guard_finite(x: np.ndarray, node: int) -> None:
-    if not np.isfinite(x).all():
-        raise DivergenceError(node)
 
 
 # Length of the near-field blocks of the ABM history sums.
@@ -120,12 +119,19 @@ def solve_fde_abm(
         m = k % _BLOCK
         if m == 0:
             _add_far_field(xs, fs, reversed_kernels[:, ::-1], k)
+        # In place: near[0] becomes the predictor xs[k] + near[0], and x the
+        # corrector cq * f(pred) + (fs[k] + near[1]).
         near = reversed_kernels[:, n - m:] @ fs[k - m:k]
-        pred = xs[k] + near[0]
-        _guard_finite(pred, k)
-        xs[k] = fs[k] + near[1] + cq * f(pred)
-        _guard_finite(xs[k], k)
-        fs[k] = f(xs[k])
+        near += (xs[k], fs[k])
+        pred = near[0]
+        if not all(map(isfinite, pred.tolist())):
+            raise DivergenceError(k)
+        x = f(pred) * cq
+        x += near[1]
+        if not all(map(isfinite, x.tolist())):
+            raise DivergenceError(k)
+        xs[k] = x
+        fs[k] = f(x)
 
     return Trajectory(grid, xs, order, model.name)
 

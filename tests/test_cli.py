@@ -151,7 +151,8 @@ def test_cmd_simulate_artifacts_round_trip(tmp_path, capsys):
     )
     np.testing.assert_array_equal(cols[1], traj.component(0))
 
-    svg = open(os.path.join(out_dir, "states.svg")).read()
+    with open(os.path.join(out_dir, "states.svg"), encoding="utf-8") as fh:
+        svg = fh.read()
     assert svg.startswith("<?xml")
     assert svg.count("<polyline") == 8  # 4 state panels x 2 orders
     assert 'stroke="blue"' in svg and 'stroke="red"' in svg
@@ -180,7 +181,8 @@ def test_cmd_verify_lemma_pass(tmp_path, capsys):
         "--xbar", "745746.99", "--order", "0.9", "--out", out_file,
     ])
     assert code == 0
-    doc = json.loads(open(out_file).read())
+    with open(out_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert doc["pass"] is True
     assert doc["kind"] == "lemma_inequality"
 
@@ -248,6 +250,7 @@ def test_missing_config_file_is_config_error(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("initial_state", ["a", 1, 2, 3]),
     ("params", 5),
+    ("params", []),
     ("steps", "x"),
     ("orders", 0.5),
     ("t_end", None),
@@ -262,6 +265,26 @@ def test_mistyped_config_value_exits_2_with_json_error(tmp_path, capsys, field, 
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("base,field,value", [
+    (BASE_SICA, "orders", [True]),
+    (BASE_SICA, "t_end", True),
+    (BASE_SICA, "steps", True),
+    (BASE_SICA, "initial_state", [True, 74574.696, 37287.348, 37287.348]),
+    (BASE_SICA, "params", dict(BASE_SICA["params"], beta=True)),
+    (BASE_TEIV, "params", dict(BASE_TEIV["params"], alpha1=False)),
+], ids=["orders", "t_end", "steps", "initial_state", "sica_param", "teiv_param"])
+def test_boolean_config_number_exits_2_with_json_error(tmp_path, capsys, base, field, value):
+    # Python takes true as 1: without the check, "orders": [true] would
+    # solve at order 1.0 and pass
+    doc = copy.deepcopy(base)
+    doc[field] = value
+    code = main(["report", "--config", write_config(tmp_path, doc)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "boolean" in err["message"]
 
 
 def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):

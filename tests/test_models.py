@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fracstab import ContractError
@@ -36,3 +37,47 @@ def test_schema_enums_match_registry():
     kinds = [kind for spec in MODELS.values() for kind in spec.functionals]
     assert props["functionals"]["items"]["enum"] == kinds
 
+
+
+# The rhs functions unpack the state to Python floats.  These re-typings
+# evaluate the same expressions on numpy float64 scalars, the reference the
+# float arithmetic must match bit for bit.
+def sica_rhs_numpy(p, state):
+    S, I, C, A = np.asarray(state, dtype=float)
+    if p.incidence == "standard":
+        inc = p.beta * S * I / (S + I + C + A)
+    else:
+        inc = p.beta * S * I
+    return np.array([
+        p.lambda_ - p.mu * S - inc,
+        inc - (p.rho + p.phi + p.mu) * I + p.alpha_t * A + p.omega * C,
+        p.phi * I - p.c_exit_rate * C,
+        p.rho * I - p.a_exit_rate * A,
+    ])
+
+
+def teiv_rhs_numpy(p, state):
+    T, E, I, V = np.asarray(state, dtype=float)
+    fv = p.beta * T / (1.0 + p.alpha1 * T + p.alpha2 * V + p.alpha3 * T * V) * V
+    return np.array([
+        p.lambda_ - p.mu_T * T - fv + p.rho * E,
+        fv - p.eclipse_exit_rate * E,
+        p.gamma * E - p.mu_I * I,
+        p.k * I - p.mu_V * V,
+    ])
+
+
+@pytest.mark.parametrize("rhs,reference,params,scale", [
+    (sica.sica_rhs, sica_rhs_numpy, sica.baseline_params(0.066, "standard"), 6e5),
+    (sica.sica_rhs, sica_rhs_numpy, sica.baseline_params(0.866, "mass_action"), 6e5),
+    (teiv.teiv_rhs, teiv_rhs_numpy, SAMPLE_PARAMS["teiv"], 50.0),
+], ids=["sica_standard", "sica_mass_action", "teiv"])
+@pytest.mark.parametrize("container", [np.asarray, list, tuple])
+def test_rhs_bit_identical_to_numpy_scalar_arithmetic(rhs, reference, params, scale, container):
+    rng = np.random.default_rng(20)
+    # a fifth of the components negative, as in a solver undershoot
+    states = scale * rng.uniform(-0.25, 1.0, size=(200, 4))
+    for state in states:
+        out = rhs(params, container(state))
+        assert out.dtype == np.float64 and out.shape == (4,)
+        assert np.array_equal(out, reference(params, state))

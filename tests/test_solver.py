@@ -149,6 +149,40 @@ def test_divergence_reports_node():
     assert 1 <= err.value.node <= 50
 
 
+@pytest.mark.parametrize("call,node", [(2 * 70 - 1, 70), (2 * 70, 71)],
+                         ids=["corrector_guard", "predictor_guard"])
+def test_nan_rhs_reports_its_node(call, node):
+    # call 0 is f(x0); step k calls f(pred) (call 2k - 1), then f(x_k)
+    # (call 2k), whose value the predictor of node k + 1 reads
+    calls = []
+
+    def rhs(u):
+        calls.append(None)
+        return np.full(2, np.nan) if len(calls) > call else -u
+
+    model = ModelDefinition(2, rhs, "nan_from_a_node", ("x", "y"))
+    with pytest.raises(DivergenceError) as err:
+        solve_fde_abm(model, FractionalOrder(0.7), [1.0, 2.0], UniformGrid(0.0, 0.01, 200))
+    assert err.value.node == node
+
+
+def test_rhs_never_sees_a_non_finite_state():
+    # f(x_70) is inf while x_70 is finite, so the history sums of node 71
+    # are inf: the predictor guard must stop before the rhs is called on them
+    seen = []
+
+    def rhs(u):
+        seen.append(u.copy())
+        return np.full(2, np.inf) if len(seen) > 2 * 70 else -u
+
+    model = ModelDefinition(2, rhs, "inf_from_a_node", ("x", "y"))
+    with pytest.raises(DivergenceError) as err:
+        solve_fde_abm(model, FractionalOrder(0.7), [1.0, 2.0], UniformGrid(0.0, 0.01, 200))
+    assert err.value.node == 71
+    assert len(seen) == 2 * 70 + 1
+    assert all(np.isfinite(u).all() for u in seen)
+
+
 def test_trajectory_component_access():
     model = ModelDefinition(
         dimension=2,

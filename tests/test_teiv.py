@@ -74,6 +74,15 @@ def test_incidence_saturated_hand_value():
     assert teiv.teiv_incidence(p, 1.0, 1.0) == pytest.approx(0.25)
 
 
+def test_rhs_at_zero_incidence_denominator_is_non_finite_without_raising():
+    # 1 + 0.5 V = 0 at the undershoot V = -2: the field must carry inf or
+    # nan to the solver's guard, not raise or warn
+    p = demo_params(alpha1=0.0, alpha2=0.5, alpha3=0.0)
+    out = teiv.teiv_rhs(p, np.array([40.0, 1.0, 1.0, -2.0]))
+    assert not np.isfinite(out[:2]).any()
+    assert np.isfinite(out[2:]).all()
+
+
 def test_rhs_hand_value_unit_parameters():
     p = teiv.TeivParams(lambda_=1.0, mu_T=1.0, mu_E=1.0, mu_I=1.0, mu_V=1.0,
                         rho=1.0, gamma=1.0, k=1.0, beta=1.0)

@@ -250,13 +250,13 @@ def test_missing_config_file_is_config_error(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("initial_state", ["a", 1, 2, 3]),
     ("params", 5),
-    ("params", []),
     ("steps", "x"),
     ("orders", 0.5),
     ("t_end", None),
     ("functionals", [["v0"]]),
     ("steps", 100.7),
     ("steps", float("inf")),
+    ("params", []),
 ])
 def test_mistyped_config_value_exits_2_with_json_error(tmp_path, capsys, field, value):
     doc = copy.deepcopy(BASE_SICA)

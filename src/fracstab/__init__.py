@@ -12,7 +12,6 @@ from .caputo import (
     FractionalOrder,
     SampledSignal,
     UniformGrid,
-    gamma_fn,
     l1_caputo,
 )
 from .errors import (
@@ -74,7 +73,6 @@ __all__ = [
     "decrescence_certificate",
     "default_tolerance",
     "field_derivative",
-    "gamma_fn",
     "identity_g",
     "l1_caputo",
     "lemma_certificate",

@@ -8,7 +8,7 @@ All arithmetic is 64-bit floating point; all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +56,10 @@ class UniformGrid:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Real signal sampled at every node of a uniform grid.
-
-    ``node0_copied`` marks signals whose node-0 value is a convention
-    (the L1 stencil does not define the derivative at t0).
-    """
+    """Real signal sampled at every node of a uniform grid."""
 
     grid: UniformGrid
     values: np.ndarray
-    node0_copied: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -93,24 +88,13 @@ def fft_size(m: int) -> int:
     return best
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function for positive real arguments.
-
-    Relative error is below 1e-12 on (0, 50] (delegates to the platform
-    libm implementation, which is accurate to a few ulp).
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"gamma_fn requires a positive finite argument, got {x!r}")
-    return math.gamma(x)
-
-
 def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
     """L1-scheme estimate of the Caputo derivative of a sampled signal.
 
     Returns a signal on the same grid.  Node k >= 1 carries the L1
-    stencil value; node 0 copies the node-1 estimate (flagged via
-    ``node0_copied``).  For alpha = 1 the scheme degenerates to backward
-    first differences divided by h.
+    stencil value; node 0 copies the node-1 estimate, since the stencil
+    does not define the derivative at t0.  For alpha = 1 the scheme
+    degenerates to backward first differences divided by h.
     """
     grid = signal.grid
     if grid.n_nodes < 2:
@@ -125,7 +109,7 @@ def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
         n = grid.n_steps
         j = np.arange(n + 1, dtype=float)
         c = j[1:] ** (1.0 - alpha) - j[:-1] ** (1.0 - alpha)
-        scale = h ** (-alpha) / gamma_fn(2.0 - alpha)
+        scale = h ** (-alpha) / math.gamma(2.0 - alpha)
         # out[k] = scale * sum_{j=0}^{k-1} c[j] * du[k-1-j], by a real FFT
         # zero-padded to at least 2n - 1 so the circular product does not wrap
         size = fft_size(2 * n - 1)
@@ -133,7 +117,7 @@ def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
         spectrum *= np.fft.rfft(du, size)
         out[1:] = scale * np.fft.irfft(spectrum, size)[:n]
     out[0] = out[1]
-    return SampledSignal(grid, out, node0_copied=True)
+    return SampledSignal(grid, out)
 
 
 def adams_tables(order: FractionalOrder, n_steps: int):

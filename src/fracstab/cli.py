@@ -81,9 +81,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
             header = ["t"] + list(model.state_labels)
             columns = [times] + [traj.component(i) for i in range(model.dimension)]
             for kind, fn in functionals.items():
-                vals = fn.values_along(traj.states)
+                V = fn.values_along(traj.states)
                 header += [f"V_{kind}", f"dcaputo_V_{kind}"]
-                columns += [vals, caputo_of_functional(fn, traj).values]
+                columns += [V, caputo_of_functional(V, traj).values]
             path = os.path.join(out_dir, f"trajectory_order_{order.alpha:g}.csv")
             write_csv(path, header, columns)
             written.append(path)
@@ -147,13 +147,10 @@ def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
     per_order = []
     all_certified = True
     for order in cfg.orders:
-        try:
-            traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
-        except DivergenceError as exc:
-            print(json.dumps({"error": "divergence", "node": exc.node, "order": order.alpha}))
-            return EXIT_DIVERGENCE
-        dV = caputo_of_functional(functional, traj)
-        scale = float(np.abs(functional.values_along(traj.states)).max())
+        traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
+        V = functional.values_along(traj.states)
+        dV = caputo_of_functional(V, traj)
+        scale = float(np.abs(V).max())
         cert = decrescence_certificate(dV, default_tolerance(grid, order, max(scale, 1.0)))
         dists = np.abs(traj.states - target).max(axis=1) / max(float(np.abs(target).max()), 1.0)
         inside = np.flatnonzero(dists <= 0.05)
@@ -217,7 +214,7 @@ def main(argv=None) -> int:
             return cmd_verify_lemma(cfg, args.coordinate, args.g, args.xbar, args.order, args.out)
         return cmd_report(cfg, args.out)
     except DivergenceError as exc:
-        print(json.dumps({"error": "divergence", "node": exc.node}))
+        print(json.dumps({"error": "divergence", "node": exc.node, "order": exc.order}))
         return EXIT_DIVERGENCE
     except FracstabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -7,18 +7,13 @@ would invalidate every certificate downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .caputo import FractionalOrder
 from .errors import ConfigError, ContractError, FracstabError
 from .models import MODELS, ModelSpec
-
-_TOP_FIELDS = {
-    "model", "params", "orders", "initial_state",
-    "t_end", "steps", "functionals",
-}
 
 
 def _number(value, name: str):
@@ -45,7 +40,7 @@ class ExperimentConfig:
     initial_state: tuple      # 4 floats
     t_end: float
     steps: int
-    functionals: tuple        # functional kinds of the model
+    functionals: tuple = ()   # functional kinds of the model
 
     def __post_init__(self):
         spec = _spec_of(self.model)
@@ -69,10 +64,10 @@ class ExperimentConfig:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - _TOP_FIELDS
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    missing = {"model", "params", "orders", "initial_state", "t_end", "steps"} - set(doc)
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(doc)
     if missing:
         raise ConfigError(f"missing config fields: {sorted(missing)}")
 

@@ -20,12 +20,13 @@ class ContractError(FracstabError, ValueError):
 class DivergenceError(FracstabError, RuntimeError):
     """A solver produced a non-finite state.
 
-    Carries the index of the first failing node.
+    Carries the index of the first failing node and the order of the solve.
     """
 
-    def __init__(self, node: int, message: str = ""):
+    def __init__(self, node: int, order: float):
         self.node = node
-        super().__init__(message or f"non-finite state at node {node}")
+        self.order = order
+        super().__init__(f"non-finite state at node {node} (order {order:g})")
 
 
 class NewtonError(FracstabError, RuntimeError):

@@ -199,10 +199,10 @@ def field_derivative(functional: LyapunovFunctional, model: ModelDefinition, sta
     return total
 
 
-def caputo_of_functional(functional: LyapunovFunctional, traj: Trajectory) -> SampledSignal:
-    """Discrete Caputo derivative (L1 scheme) of the functional along a trajectory."""
-    vals = functional.values_along(traj.states)
-    return l1_caputo(SampledSignal(traj.grid, vals), traj.order)
+def caputo_of_functional(values: np.ndarray, traj: Trajectory) -> SampledSignal:
+    """Discrete Caputo derivative (L1 scheme) of a functional's values along a
+    trajectory, as ``LyapunovFunctional.values_along(traj.states)`` gives them."""
+    return l1_caputo(SampledSignal(traj.grid, values), traj.order)
 
 
 def default_tolerance(grid: UniformGrid, order: FractionalOrder, scale: float) -> float:
@@ -215,11 +215,7 @@ def default_tolerance(grid: UniformGrid, order: FractionalOrder, scale: float) -
 
 
 def lemma_certificate(
-    x: SampledSignal,
-    g: GFunction,
-    xbar: float,
-    order: FractionalOrder,
-    tolerance: float | None = None,
+    x: SampledSignal, g: GFunction, xbar: float, order: FractionalOrder
 ) -> Certificate:
     """Certify D^alpha psi(x) <= (1 - g(xbar)/g(x)) D^alpha x along a signal.
 
@@ -230,8 +226,7 @@ def lemma_certificate(
         raise DomainError("xbar must be strictly positive")
     if (x.values <= 0).any():
         raise DomainError("lemma certificate requires strictly positive samples")
-    if tolerance is None:
-        tolerance = default_tolerance(x.grid, order, float(np.abs(x.values).max()))
+    tolerance = default_tolerance(x.grid, order, float(np.abs(x.values).max()))
 
     psi_vals = psi_profile(g, xbar, x.values)
     lhs = l1_caputo(SampledSignal(x.grid, psi_vals), order).values

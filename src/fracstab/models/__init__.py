@@ -16,6 +16,9 @@ from ..errors import ContractError
 from ..newton import _fd_jacobian
 from . import sica, teiv
 
+# R0 within this distance of 1 counts as consistent without a spectral test.
+_R0_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -59,17 +62,17 @@ class ModelSpec:
         """The equilibrium a functional kind is anchored at."""
         return getattr(self, self.functionals[kind])(params)
 
-    def spectral_consistent(self, params, margin: float = 1e-6) -> bool:
+    def spectral_consistent(self, params) -> bool:
         """Whether R0 < 1 agrees with linear stability of the free equilibrium.
 
         The stability test takes the eigenvalues of the rhs Jacobian (central
         differences) restricted to the components that are zero at the free
         equilibrium, so it checks the R0 formula against the vector field
-        itself.  Parameters within ``margin`` of R0 = 1 count as consistent
-        (the spectral test is not meaningful there).
+        itself.  Parameters within 1e-6 of R0 = 1 count as consistent (the
+        spectral test is not meaningful there).
         """
         r0 = self.r0(params)
-        if abs(r0 - 1.0) <= margin:
+        if abs(r0 - 1.0) <= _R0_MARGIN:
             return True
         free = self.free(params)
         infected = np.flatnonzero(free == 0.0)

@@ -140,12 +140,7 @@ def sica_endemic(p: SicaParams) -> np.ndarray:
         raise NoEndemicEquilibriumError(
             f"no endemic equilibrium: threshold {endemic_threshold(p):.4g} <= 1"
         )
-    eq = damped_newton(lambda x: sica_rhs(p, x), _endemic_seed(p))
-    scale = max(np.abs(eq).max(), 1.0)
-    residual = np.abs(sica_rhs(p, eq)).max()
-    if residual > 1e-9 * scale:
-        raise NoEndemicEquilibriumError(f"equilibrium residual {residual:.3g} too large")
-    return eq
+    return damped_newton(lambda x: sica_rhs(p, x), _endemic_seed(p))
 
 
 def sica_r0_document(p: SicaParams) -> dict:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import NewtonError
+
+_MAX_ITER = 200
+_STEP_TOL = 1e-12       # relative step norm that ends the iteration
+_RESIDUAL_TOL = 1e-9    # accepted max |f(x)|, relative to max(|x|, 1)
 
 
 def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -21,24 +25,18 @@ def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
     return J
 
 
-def damped_newton(
-    f: Callable[[np.ndarray], np.ndarray],
-    x0,
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    max_iter: int = 200,
-    step_tol: float = 1e-12,
-) -> np.ndarray:
-    """Newton iteration with step halving on residual increase.
+def damped_newton(f: Callable[[np.ndarray], np.ndarray], x0) -> np.ndarray:
+    """Root of ``f`` by Newton iteration with step halving on residual increase.
 
-    Converges when the relative step norm drops below ``step_tol``; raises
-    ``NewtonError`` after ``max_iter`` iterations without convergence.
+    Stops when the relative step norm drops below 1e-12 and returns the
+    root only if max |f(x)| <= 1e-9 max(max |x|, 1); raises ``NewtonError``
+    otherwise, or after 200 iterations without convergence.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
-    for _ in range(max_iter):
-        J = jac(x) if jac is not None else _fd_jacobian(f, x)
+    for _ in range(_MAX_ITER):
         try:
-            delta = np.linalg.solve(J, -fx)
+            delta = np.linalg.solve(_fd_jacobian(f, x), -fx)
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular Jacobian at {x}") from exc
 
@@ -55,6 +53,9 @@ def damped_newton(
 
         step = np.linalg.norm(lam * delta) / max(np.linalg.norm(x_new), 1.0)
         x, fx = x_new, fx_new
-        if step < step_tol:
+        if step < _STEP_TOL:
+            residual = np.abs(fx).max()
+            if residual > _RESIDUAL_TOL * max(np.abs(x).max(), 1.0):
+                raise NewtonError(f"residual {residual:.3g} too large at {x}")
             return x
-    raise NewtonError(f"no convergence after {max_iter} iterations")
+    raise NewtonError(f"no convergence after {_MAX_ITER} iterations")

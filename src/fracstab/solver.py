@@ -12,12 +12,12 @@ solves share nothing and may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import gamma, isfinite
 from typing import Callable
 
 import numpy as np
 
-from .caputo import FractionalOrder, UniformGrid, adams_tables, fft_size, gamma_fn
+from .caputo import FractionalOrder, UniformGrid, adams_tables, fft_size
 from .errors import ContractError, DivergenceError
 
 
@@ -95,8 +95,8 @@ def solve_fde_abm(
     f = model.rhs
 
     ha = h ** alpha
-    cp = ha / (alpha * gamma_fn(alpha))
-    cq = ha / gamma_fn(alpha + 2.0)
+    cp = ha / (alpha * gamma(alpha))
+    cq = ha / gamma(alpha + 2.0)
     dp, d2q, start = adams_tables(order, n)
     # Scaled predictor (row 0) and corrector (row 1) kernels, reversed: the
     # weights of the m nodes before node k are the last m columns.
@@ -125,11 +125,11 @@ def solve_fde_abm(
         near += (xs[k], fs[k])
         pred = near[0]
         if not all(map(isfinite, pred.tolist())):
-            raise DivergenceError(k)
+            raise DivergenceError(k, alpha)
         x = f(pred) * cq
         x += near[1]
         if not all(map(isfinite, x.tolist())):
-            raise DivergenceError(k)
+            raise DivergenceError(k, alpha)
         xs[k] = x
         fs[k] = f(x)
 

@@ -53,9 +53,9 @@ def functional_value(fn, state) -> float:
     return total
 
 
-def _guard_finite(x: np.ndarray, node: int) -> None:
+def _guard_finite(x: np.ndarray, node: int, order: float) -> None:
     if not np.isfinite(x).all():
-        raise DivergenceError(node)
+        raise DivergenceError(node, order)
 
 
 def gl_weights(order: FractionalOrder, count: int) -> np.ndarray:
@@ -82,7 +82,7 @@ def solve_fde_gl(model, order: FractionalOrder, x0, grid) -> Trajectory:
     for k in range(1, n + 1):
         conv = np.tensordot(w[1: k + 1], v[k - 1:: -1], axes=1)
         v[k] = ha * model.rhs(x0 + v[k - 1]) - conv
-        _guard_finite(v[k], k)
+        _guard_finite(v[k], k, order.alpha)
     return Trajectory(grid, x0 + v, order, model.name)
 
 
@@ -99,5 +99,5 @@ def solve_ode_rk4(model, x0, grid) -> Trajectory:
         k3 = f(x + 0.5 * h * k2)
         k4 = f(x + h * k3)
         xs[k] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _guard_finite(xs[k], k)
+        _guard_finite(xs[k], k, 1.0)
     return Trajectory(grid, xs, FractionalOrder(1.0), model.name)

@@ -9,7 +9,6 @@ from fracstab import (
     GridError,
     SampledSignal,
     UniformGrid,
-    gamma_fn,
     l1_caputo,
 )
 from fracstab.caputo import adams_tables, fft_size
@@ -56,27 +55,12 @@ def test_signal_length_must_match_grid():
         SampledSignal(grid, np.array([0.0, 1.0, np.nan, 2.0]))
 
 
-# ---------------------------------------------------------------- gamma
-
-def test_gamma_known_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_fn(5.0) == 24.0
-    assert gamma_fn(1.0) == 1.0
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
-def test_gamma_rejects_non_positive(bad):
-    with pytest.raises(DomainError):
-        gamma_fn(bad)
-
-
 # ---------------------------------------------------------------- L1 operator
 
 def test_l1_constant_signal_has_zero_derivative():
     sig = make_signal(lambda t: np.full_like(t, 3.7), h=0.01, n=50)
     out = l1_caputo(sig, FractionalOrder(0.4))
     np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
-    assert out.node0_copied
 
 
 def test_l1_exact_for_linear_signal():
@@ -86,7 +70,7 @@ def test_l1_exact_for_linear_signal():
     sig = make_signal(lambda t: t, h=0.02, n=40)
     out = l1_caputo(sig, FractionalOrder(alpha))
     t = sig.grid.times()[1:]
-    expected = t ** (1.0 - alpha) / gamma_fn(2.0 - alpha)
+    expected = t ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     np.testing.assert_allclose(out.values[1:], expected, rtol=1e-12)
 
 
@@ -110,7 +94,7 @@ def test_l1_quadratic_signal_accuracy_improves_like_h():
         sig = make_signal(lambda t: t ** 2, h=1.0 / n, n=n)
         out = l1_caputo(sig, FractionalOrder(alpha))
         t = sig.grid.times()[1:]
-        exact = 2.0 * t ** (2.0 - alpha) / gamma_fn(3.0 - alpha)
+        exact = 2.0 * t ** (2.0 - alpha) / math.gamma(3.0 - alpha)
         errs.append(np.abs(out.values[1:] - exact).max())
     order = np.log2(errs[0] / errs[1])
     # theoretical rate 2 - alpha = 1.5, approached from below
@@ -130,7 +114,7 @@ def test_l1_matches_direct_sum_at_every_node(alpha):
     du = np.diff(sig.values)
     direct = np.array([c[:k][::-1] @ du[:k] for k in range(1, n + 1)])
     magnitude = np.array([np.abs(c[:k][::-1]) @ np.abs(du[:k]) for k in range(1, n + 1)])
-    scale = h ** (-alpha) / gamma_fn(2.0 - alpha)
+    scale = h ** (-alpha) / math.gamma(2.0 - alpha)
     assert np.all(np.abs(out.values[1:] - scale * direct) <= 1e-12 * scale * magnitude)
 
 
@@ -193,7 +177,7 @@ def test_abm_weights_classical_limit_trapezoid():
     dp, d2q, start = adams_tables(FractionalOrder(1.0), 3)
     np.testing.assert_allclose(h * dp, [h, h, h])
     # corrector weights of nodes 0, 1, 2 and of the predicted node 3
-    weights = np.array([start[2], d2q[1], d2q[0], 1.0]) * h / gamma_fn(3.0)
+    weights = np.array([start[2], d2q[1], d2q[0], 1.0]) * h / math.gamma(3.0)
     np.testing.assert_allclose(weights, [h / 2, h, h, h / 2])
 
 

@@ -158,19 +158,41 @@ def test_cmd_simulate_artifacts_round_trip(tmp_path, capsys):
     assert 'stroke="blue"' in svg and 'stroke="red"' in svg
 
 
-def test_cmd_simulate_divergence_removes_partial_outputs(tmp_path, capsys):
+def diverging_mass_action_config():
+    # read as mass action, the calibrated beta makes the disease-free point
+    # violently unstable, and with 200-year steps the solve blows up at node 3
     doc = copy.deepcopy(BASE_SICA)
     doc["params"]["incidence"] = "mass_action"
     doc["params"]["beta"] = 0.866
     doc["t_end"] = 2000.0
     doc["steps"] = 10
     doc["functionals"] = []
+    return doc
+
+
+def test_cmd_simulate_divergence_removes_partial_outputs(tmp_path, capsys):
+    doc = diverging_mass_action_config()
     out_dir = str(tmp_path / "out")
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir])
     assert code == 3
     assert os.listdir(out_dir) == []
     assert "divergence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["report", "simulate", "verify-lemma"])
+def test_divergence_json_names_node_and_order(tmp_path, capsys, command):
+    doc = diverging_mass_action_config()
+    doc["orders"] = [0.5, 1.0]
+    extra = {
+        "report": [],
+        "simulate": ["--out", str(tmp_path / "out")],
+        "verify-lemma": ["--coordinate", "S", "--xbar", "1.0"],
+    }[command]
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", write_config(tmp_path, doc)] + extra)
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "divergence", "node": 3, "order": 0.5}
 
 
 def test_cmd_verify_lemma_pass(tmp_path, capsys):

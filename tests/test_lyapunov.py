@@ -272,7 +272,7 @@ def test_caputo_of_functional_matches_manual_composition():
     grid = UniformGrid(0.0, 0.01, 100)
     traj = solve_ode_rk4(model, [2.0], grid)
     fn = build_log_volterra([(1.0, 1.0)])
-    via_helper = caputo_of_functional(fn, traj)
+    via_helper = caputo_of_functional(fn.values_along(traj.states), traj)
     manual = l1_caputo(
         SampledSignal(grid, fn.values_along(traj.states)), FractionalOrder(1.0)
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracstab import ContractError
+from fracstab.config import ExperimentConfig
 from fracstab.models import MODELS, sica, teiv
 
 SCHEMA = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "schema.json")
@@ -32,10 +33,14 @@ def test_params_codec_round_trip_and_strictness(name):
 
 def test_schema_enums_match_registry():
     with open(SCHEMA, encoding="utf-8") as fh:
-        props = json.load(fh)["properties"]
+        schema = json.load(fh)
+    props = schema["properties"]
     assert props["model"]["enum"] == list(MODELS)
     kinds = [kind for spec in MODELS.values() for kind in spec.functionals]
     assert props["functionals"]["items"]["enum"] == kinds
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(props) == names
+    assert set(schema["required"]) == names - {"functionals"}
 
 
 

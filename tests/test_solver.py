@@ -9,7 +9,6 @@ from fracstab import (
     FractionalOrder,
     ModelDefinition,
     UniformGrid,
-    gamma_fn,
     solve_fde_abm,
 )
 from fracstab.caputo import adams_tables
@@ -95,10 +94,10 @@ def direct_pece(model, order, x0, grid):
     for k in range(1, n + 1):
         b = dp[k - 1::-1]
         a = np.concatenate([[start[k - 1]], d2q[k - 2::-1] if k > 1 else []])
-        pred = x0 + (ha / alpha) * (b @ fs[:k]) / gamma_fn(alpha)
+        pred = x0 + (ha / alpha) * (b @ fs[:k]) / math.gamma(alpha)
         if not np.isfinite(pred).all():
             return xs[:k], k
-        xs[k] = x0 + (ha / gamma_fn(alpha + 2.0)) * (a @ fs[:k] + model.rhs(pred))
+        xs[k] = x0 + (ha / math.gamma(alpha + 2.0)) * (a @ fs[:k] + model.rhs(pred))
         if not np.isfinite(xs[k]).all():
             return xs[:k], k
         fs[k] = model.rhs(xs[k])

@@ -227,8 +227,9 @@ def test_decrescence_along_trajectory_at_chronic_anchor():
     for alpha in (0.8, 1.0):
         order = FractionalOrder(alpha)
         traj = solve_fde_abm(model, order, x0, grid)
-        dV = caputo_of_functional(L, traj)
-        scale = max(float(np.abs(L.values_along(traj.states)).max()), 1.0)
+        V = L.values_along(traj.states)
+        dV = caputo_of_functional(V, traj)
+        scale = max(float(np.abs(V).max()), 1.0)
         cert = decrescence_certificate(dV, default_tolerance(grid, order, scale))
         assert cert.passed, (alpha, cert.max_violation, cert.tolerance)
 

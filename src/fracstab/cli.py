@@ -85,17 +85,17 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
                 header += [f"V_{kind}", f"dcaputo_V_{kind}"]
                 columns += [V, caputo_of_functional(V, traj).values]
             path = os.path.join(out_dir, f"trajectory_order_{order.alpha:g}.csv")
+            written.append(path)  # before writing, so that a half-written file is removed too
             write_csv(path, header, columns)
-            written.append(path)
 
         panels = [
             (label, [trajectories[o.alpha].component(i) for o in cfg.orders])
             for i, label in enumerate(model.state_labels)
         ]
         svg_path = os.path.join(out_dir, "states.svg")
-        plot_panels(svg_path, times, panels, [f"order={o.alpha:g}" for o in cfg.orders])
         written.append(svg_path)
-    except DivergenceError:
+        plot_panels(svg_path, times, panels, [f"order={o.alpha:g}" for o in cfg.orders])
+    except BaseException:
         for path in written:
             try:
                 os.remove(path)
@@ -123,11 +123,7 @@ def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> i
     idx = model.state_labels.index(coordinate)
     grid = _grid_of(cfg)
     traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
-    samples = traj.component(idx)
-    nonpos = np.flatnonzero(samples <= 0)
-    if nonpos.size:
-        raise ConfigError(f"coordinate {coordinate} is non-positive at node {int(nonpos[0])}")
-    cert = lemma_certificate(SampledSignal(grid, samples), g, xbar, order)
+    cert = lemma_certificate(SampledSignal(grid, traj.component(idx)), g, xbar, order)
     _emit(cert.to_json_dict(), out_path)
     return EXIT_PASS if cert.passed else EXIT_CERT_FAIL
 

@@ -61,24 +61,31 @@ class ExperimentConfig:
         return MODELS[self.model]
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
+def _check_object(doc, cls: type, name: str) -> None:
+    """``doc`` must be a JSON object with no field unknown to the dataclass
+    ``cls`` and none of the fields that have no default missing."""
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(doc)
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(doc)
     if missing:
-        raise ConfigError(f"missing config fields: {sorted(missing)}")
+        raise ConfigError(f"missing {name} fields: {sorted(missing)}")
 
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    _check_object(doc, ExperimentConfig, "config")
     model = doc["model"]
     try:
+        spec = _spec_of(model)
+        _check_object(doc["params"], spec.params, "params")
         steps = int(_number(doc["steps"], "steps"))
         if steps != doc["steps"]:  # a fraction or a string, not truncated
             raise ConfigError(f"steps must be an integer, got {doc['steps']!r}")
         return ExperimentConfig(
             model=model,
-            params=_spec_of(model).params_from_json(doc["params"]),
+            params=spec.params(**{k: _number(v, f"params.{k}") for k, v in doc["params"].items()}),
             orders=tuple(FractionalOrder(_number(a, "orders")) for a in doc["orders"]),
             initial_state=tuple(float(_number(x, "initial_state")) for x in doc["initial_state"]),
             t_end=float(_number(doc["t_end"], "t_end")),

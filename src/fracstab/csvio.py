@@ -1,8 +1,9 @@
-"""CSV emission and parsing for trajectory artifacts.
+"""CSV emission for trajectory artifacts.
 
 Floats are printed with 17 significant digits so that re-reading an
-emitted file reproduces the in-memory values bit-exactly.  Files use LF
-line endings regardless of platform.
+emitted file (``np.loadtxt(path, delimiter=",", skiprows=1)``) reproduces
+the in-memory values bit-exactly.  Files use LF line endings regardless
+of platform.
 """
 
 from __future__ import annotations
@@ -17,23 +18,8 @@ def write_csv(path: str, header: list, columns: list) -> None:
     if len(header) != len(columns):
         raise ContractError("header and column counts differ")
     cols = [np.asarray(c, dtype=float) for c in columns]
-    n = cols[0].size
-    if any(c.size != n for c in cols):
+    if any(c.size != cols[0].size for c in cols):
         raise ContractError("columns must have equal length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format(c[i], ".17g") for c in cols) + "\n")
-
-
-def read_csv(path: str):
-    """Read a file written by ``write_csv``; returns (header, columns)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ContractError(f"empty CSV file {path}")
-    header = lines[0].split(",")
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ContractError(f"malformed CSV file {path}")
-    return header, [data[:, j] for j in range(len(header))]
+        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")

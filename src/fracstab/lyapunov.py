@@ -106,11 +106,33 @@ class LyapunovFunctional:
         for part in self.psi_parts:
             total += part.weight * psi_profile(part.g, part.xstar, states[:, part.component_index])
         for part in self.cross_quad_parts:
-            dev = np.zeros(states.shape[0])
-            for i, a in zip(part.indices, part.anchors):
-                dev += states[:, i] - a
-            total += 0.5 * part.weight * dev ** 2
+            total += 0.5 * part.weight * _deviation(states, part) ** 2
         return total
+
+    def rate_along(self, states: np.ndarray, rates: np.ndarray) -> np.ndarray:
+        """Chain rule over (n_nodes, dim) arrays: the functional's rate of change
+        at each row of ``states`` when the state moves at that row of ``rates``,
+        sum_i a_i psi_i'(x_i) rate_i plus w dev sum(rates) per cross-quadratic part.
+        """
+        states = np.asarray(states, dtype=float)
+        rates = np.asarray(rates, dtype=float)
+        if rates.shape != states.shape:
+            raise ContractError("states and rates shapes differ")
+        total = np.zeros(states.shape[0])
+        for part in self.psi_parts:
+            i = part.component_index
+            total += part.weight * psi_slope(part.g, part.xstar, states[:, i]) * rates[:, i]
+        for part in self.cross_quad_parts:
+            total += part.weight * _deviation(states, part) * sum(rates[:, i] for i in part.indices)
+        return total
+
+
+def _deviation(states: np.ndarray, part: CrossQuadComponent) -> np.ndarray:
+    """sum_i (x_i - anchor_i) over a cross-quadratic part's indices, per row."""
+    dev = np.zeros(states.shape[0])
+    for i, a in zip(part.indices, part.anchors):
+        dev += states[:, i] - a
+    return dev
 
 
 @dataclass(frozen=True)
@@ -140,6 +162,14 @@ class Certificate:
         return out
 
 
+def _require_positive(xs: np.ndarray) -> None:
+    """psi with a positive anchor is singular at or below the floor: name the first such sample."""
+    bad = np.flatnonzero(xs < _X_FLOOR)
+    if bad.size:
+        k = int(bad[0])
+        raise DomainError(f"psi requires strictly positive samples; sample {k} is {float(xs[k])!r}")
+
+
 def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     """psi evaluated at every entry of ``xs`` (vectorized).
 
@@ -150,8 +180,7 @@ def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xstar == 0.0:
         return xs.copy()
-    if (xs <= 0).any() or (xs < _X_FLOOR).any():
-        raise DomainError("psi profile requires strictly positive samples")
+    _require_positive(xs)
     if g.is_identity:
         return xs - xstar - xstar * np.log(xs / xstar)
 
@@ -171,32 +200,22 @@ def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     return xs - xstar - integral_at_knot[idx]
 
 
-def field_derivative(functional: LyapunovFunctional, model: ModelDefinition, state) -> float:
-    """Classical orbital derivative of the functional under the model field.
+def psi_slope(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
+    """psi'(x) = 1 - g(xstar)/g(x) at every entry of ``xs``; ones for a zero anchor."""
+    xs = np.asarray(xs, dtype=float)
+    if xstar == 0.0:
+        return np.ones_like(xs)
+    _require_positive(xs)
+    gx = np.vectorize(g.eval, otypes=[float])(xs)
+    if (gx == 0).any():
+        raise DomainError("g vanished along the samples")
+    return 1.0 - g(xstar) / gx
 
-    Sums multiplier_i * rhs_i(state) where the multiplier of a psi part is
-    1 - g(xstar)/g(x_i) (or 1 for a zero anchor), and cross-quadratic parts
-    contribute their chain rule.
-    """
+
+def field_derivative(functional: LyapunovFunctional, model: ModelDefinition, state) -> float:
+    """Classical orbital derivative of the functional under the model field at one state."""
     state = np.asarray(state, dtype=float)
-    fx = model.rhs(state)
-    if fx.shape != state.shape:
-        raise ContractError("model rhs dimension mismatch")
-    total = 0.0
-    for part in functional.psi_parts:
-        x = state[part.component_index]
-        if part.xstar == 0.0:
-            mult = 1.0
-        else:
-            gx = part.g(x)
-            if gx == 0.0:
-                raise DomainError("g vanished at the evaluation state")
-            mult = 1.0 - part.g(part.xstar) / gx
-        total += part.weight * mult * fx[part.component_index]
-    for part in functional.cross_quad_parts:
-        dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
-        total += part.weight * dev * sum(fx[i] for i in part.indices)
-    return total
+    return float(functional.rate_along(state[None, :], model.rhs(state)[None, :])[0])
 
 
 def caputo_of_functional(values: np.ndarray, traj: Trajectory) -> SampledSignal:
@@ -224,16 +243,11 @@ def lemma_certificate(
     """
     if xbar <= 0:
         raise DomainError("xbar must be strictly positive")
-    if (x.values <= 0).any():
-        raise DomainError("lemma certificate requires strictly positive samples")
     tolerance = default_tolerance(x.grid, order, float(np.abs(x.values).max()))
 
     psi_vals = psi_profile(g, xbar, x.values)
     lhs = l1_caputo(SampledSignal(x.grid, psi_vals), order).values
-    gx = np.vectorize(g.eval, otypes=[float])(x.values)
-    if (gx == 0).any():
-        raise DomainError("g vanished along the signal")
-    rhs = (1.0 - g(xbar) / gx) * l1_caputo(x, order).values
+    rhs = psi_slope(g, xbar, x.values) * l1_caputo(x, order).values
 
     gap = lhs[1:] - rhs[1:]
     max_violation = float(gap.max())

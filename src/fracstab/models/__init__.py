@@ -7,12 +7,11 @@ tracer) is the one that runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..errors import ContractError
 from ..newton import _fd_jacobian
 from . import sica, teiv
 
@@ -22,7 +21,7 @@ _R0_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One model: params codec, vector field, threshold, equilibria, functionals."""
+    """One model: params type, vector field, threshold, equilibria, functionals."""
 
     params: type                  # frozen params dataclass
     functionals: dict             # functional kind -> anchor: "free", "endemic" or "predicted"
@@ -34,25 +33,6 @@ class ModelSpec:
     endemic: Callable             # params -> endemic equilibrium; raises below threshold 1
     functional_at: Callable       # (params, equilibrium) -> LyapunovFunctional anchored there
     r0_document: Callable         # params -> dict printed by the r0 command
-
-    def params_from_json(self, doc: dict):
-        """Params from a JSON object; unknown, missing or mistyped fields are errors.
-
-        No field is a flag, so a JSON boolean is mistyped wherever it
-        appears, although Python would take it as the number 0 or 1.
-        """
-        if not isinstance(doc, dict):
-            raise ContractError(f"{self.params.__name__} must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(self.params)}
-        if unknown:
-            raise ContractError(f"unknown {self.params.__name__} fields: {sorted(unknown)}")
-        booleans = sorted(name for name, value in doc.items() if isinstance(value, bool))
-        if booleans:
-            raise ContractError(f"{self.params.__name__} fields given a boolean: {booleans}")
-        try:
-            return self.params(**doc)
-        except TypeError as exc:
-            raise ContractError(str(exc)) from exc
 
     def predicted(self, params) -> np.ndarray:
         """The equilibrium the threshold predicts: endemic above 1, free otherwise."""

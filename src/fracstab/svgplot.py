@@ -53,12 +53,11 @@ def _panel(svg: list, ox: float, oy: float, times, curves, labels, title: str) -
     svg.append(
         f'<text x="{left + w}" y="{top + h + 16}" text-anchor="middle" font-size="10">{_fmt(t1)}</text>'
     )
+    xs = (left + (times - t0) * sx).tolist()
     for i, (c, label) in enumerate(zip(curves, labels)):
         color = CURVE_COLORS[i % len(CURVE_COLORS)]
-        pts = " ".join(
-            f"{left + (t - t0) * sx:.2f},{top + (ymax - y) * sy:.2f}"
-            for t, y in zip(times, c)
-        )
+        ys = top + (ymax - np.asarray(c, dtype=float)) * sy
+        pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys.tolist()))
         svg.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

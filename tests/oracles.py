@@ -3,8 +3,8 @@
 None of these runs in the program.  Each computes the same quantity as a
 package function by a different method: adaptive quadrature in place of
 the fixed Gauss-Legendre profile, pointwise sums in place of the
-vectorized functional, and direct Grunwald-Letnikov or Runge-Kutta sums in
-place of the block-FFT Adams solver.
+vectorized functional and its chain rule, and direct Grunwald-Letnikov or
+Runge-Kutta sums in place of the block-FFT Adams solver.
 """
 
 from __future__ import annotations
@@ -50,6 +50,30 @@ def functional_value(fn, state) -> float:
     for part in fn.cross_quad_parts:
         dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
         total += 0.5 * part.weight * dev ** 2
+    return total
+
+
+def orbital_derivative(fn, model, state) -> float:
+    """Classical orbital derivative of a LyapunovFunctional at one state,
+    summed part by part: multiplier_i * rhs_i with the multiplier
+    1 - g(xstar)/g(x_i) of a psi part (1 for a zero anchor), plus the chain
+    rule of each cross-quadratic part."""
+    state = np.asarray(state, dtype=float)
+    fx = model.rhs(state)
+    total = 0.0
+    for part in fn.psi_parts:
+        x = state[part.component_index]
+        if part.xstar == 0.0:
+            mult = 1.0
+        else:
+            gx = part.g(x)
+            if gx == 0.0:
+                raise DomainError("g vanished at the evaluation state")
+            mult = 1.0 - part.g(part.xstar) / gx
+        total += part.weight * mult * fx[part.component_index]
+    for part in fn.cross_quad_parts:
+        dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
+        total += part.weight * dev * sum(fx[i] for i in part.indices)
     return total
 
 

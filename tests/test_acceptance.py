@@ -19,7 +19,6 @@ the rest as "reported, not asserted":
 import math
 
 import numpy as np
-import pytest
 
 from fracstab import (
     FractionalOrder,

@@ -8,8 +8,9 @@ import pytest
 from fracstab import ConfigError, FractionalOrder, NewtonError, UniformGrid, solve_fde_abm
 from fracstab.cli import main
 from fracstab.config import config_from_dict, load_config
-from fracstab.csvio import read_csv, write_csv
+from fracstab.csvio import write_csv
 from fracstab.models import sica, teiv
+from fracstab.svgplot import plot_panels
 
 BASE_SICA = {
     "model": "sica",
@@ -99,6 +100,14 @@ def test_load_config_reports_invalid_json(tmp_path):
 
 # ---------------------------------------------------------------- CSV round trip
 
+def read_csv(path):
+    """(header, columns) of a file written by ``write_csv``."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return header, list(data.T)
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     cols = [rng.standard_normal(50) * 10.0 ** rng.integers(-8, 8) for _ in range(3)]
@@ -110,6 +119,52 @@ def test_csv_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(orig, rt)
     with open(path, "rb") as fh:
         assert b"\r" not in fh.read()
+
+
+def test_csv_bytes_match_per_cell_reference(tmp_path):
+    # the per-cell writer that np.savetxt replaced, kept as the reference
+    def reference(header, columns):
+        lines = [",".join(header)]
+        lines += [",".join(format(c[i], ".17g") for c in columns) for i in range(len(columns[0]))]
+        return "".join(line + "\n" for line in lines).encode("utf-8")
+
+    rng = np.random.default_rng(5)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan,
+                        0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, 1.7976931348623157e308])
+    columns = [
+        special,
+        rng.standard_normal(special.size) * 10.0 ** rng.integers(-300, 300, special.size),
+        np.nextafter(rng.uniform(1.0, 10.0, special.size), np.inf),
+    ]
+    path = str(tmp_path / "data.csv")
+    write_csv(path, ["t", "x", "y"], columns)
+    with open(path, "rb") as fh:
+        assert fh.read() == reference(["t", "x", "y"], columns)
+
+
+def test_svg_points_match_per_point_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 7.3, 97)
+    curves = [np.cumsum(rng.standard_normal(times.size)) * 1e3, rng.uniform(-2.0, 5.0, times.size)]
+    path = str(tmp_path / "plot.svg")
+    plot_panels(path, times, [("X", curves)], ["a", "b"])
+    with open(path, encoding="utf-8") as fh:
+        svg = fh.read()
+    points = [line.split('points="')[1].split('"')[0]
+              for line in svg.splitlines() if line.startswith("<polyline")]
+
+    # the per-point f-string loop that the array arithmetic replaced
+    left = top = 48
+    sx = (360 - 2 * 48) / (times[-1] - times[0])
+    ymin = min(float(np.min(c)) for c in curves)
+    ymax = max(float(np.max(c)) for c in curves)
+    sy = (240 - 2 * 48) / (ymax - ymin)
+    expected = [
+        " ".join(f"{left + (t - times[0]) * sx:.2f},{top + (ymax - y) * sy:.2f}"
+                 for t, y in zip(times, c))
+        for c in curves
+    ]
+    assert points == expected
 
 
 # ---------------------------------------------------------------- commands
@@ -170,6 +225,36 @@ def diverging_mass_action_config():
     return doc
 
 
+def test_cmd_simulate_domain_error_removes_partial_outputs(tmp_path, capsys):
+    # read as mass action with a small beta, order 0.6 solves and is written,
+    # then order 0.5 undershoots below zero and psi raises a DomainError
+    doc = copy.deepcopy(BASE_SICA)
+    doc["params"]["incidence"] = "mass_action"
+    doc["params"]["beta"] = 1e-5
+    doc["orders"] = [0.6, 0.5]
+    doc["t_end"] = 2000.0
+    doc["steps"] = 5000
+    doc["functionals"] = ["v1"]
+    out_dir = str(tmp_path / "out")
+    code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert os.listdir(out_dir) == []
+
+
+def test_cmd_simulate_removes_a_half_written_file(tmp_path, monkeypatch):
+    def failing_plot(path, *args):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("<?xml")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("fracstab.cli.plot_panels", failing_plot)
+    out_dir = str(tmp_path / "out")
+    with pytest.raises(OSError):
+        main(["simulate", "--config", write_config(tmp_path, BASE_SICA), "--out", out_dir])
+    assert os.listdir(out_dir) == []
+
+
 def test_cmd_simulate_divergence_removes_partial_outputs(tmp_path, capsys):
     doc = diverging_mass_action_config()
     out_dir = str(tmp_path / "out")
@@ -217,6 +302,22 @@ def test_cmd_verify_lemma_bad_inputs(tmp_path, capsys):
                  "--coordinate", "Z", "--xbar", "1.0"]) == 2
     assert main(["verify-lemma", "--config", cfg_path,
                  "--coordinate", "S", "--xbar", "-2.0"]) == 2
+
+
+def test_cmd_verify_lemma_non_positive_samples_exit_2(tmp_path, capsys):
+    # read as mass action with a small beta, I undershoots to -15,397 at node 2
+    doc = copy.deepcopy(BASE_SICA)
+    doc["params"]["incidence"] = "mass_action"
+    doc["params"]["beta"] = 1e-5
+    doc["orders"] = [0.5]
+    doc["t_end"] = 4.0
+    doc["steps"] = 10
+    code = main(["verify-lemma", "--config", write_config(tmp_path, doc),
+                 "--coordinate", "I", "--xbar", "1.0"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "sample 2 is -15396." in err["message"]
 
 
 def test_cmd_report_disease_free_certified(tmp_path, capsys):

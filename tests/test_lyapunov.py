@@ -24,7 +24,8 @@ from fracstab import (
     lemma_certificate,
     psi_profile,
 )
-from oracles import functional_value, psi, solve_ode_rk4
+from fracstab.models import sica, teiv
+from oracles import functional_value, orbital_derivative, psi, solve_ode_rk4
 
 
 def sqrt_g():
@@ -102,8 +103,10 @@ def test_psi_profile_matches_scalar_psi():
 
 
 def test_psi_profile_rejects_non_positive_samples():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"sample 1 is 0\.0"):
         psi_profile(identity_g(), 1.0, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(DomainError, match=r"sample 2 is -3\.0"):
+        psi_profile(sqrt_g(), 1.0, np.array([1.0, 2.0, -3.0]))
 
 
 # ---------------------------------------------------------------- functional assembly
@@ -195,6 +198,30 @@ def test_field_derivative_matches_finite_difference_of_value():
     values = fn.values_along(traj.states)
     numeric = (values[1] - values[0]) / 1e-4
     assert field_derivative(fn, model, [2.0, 1.0]) == pytest.approx(numeric, rel=1e-3)
+
+
+def chain_rule_case(name):
+    """(functional, model, anchor): SICA V1 at the endemic point, or TEIV at the chronic one."""
+    if name == "sica_v1":
+        p = sica.baseline_params(beta=0.866)
+        eq = sica.sica_endemic(p)
+        return sica.sica_v1(p, eq), sica.sica_model(p), eq
+    q = teiv.TeivParams(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0, rho=0.05,
+                        gamma=0.3, k=10.0, beta=0.01, alpha1=0.01, alpha2=0.01, alpha3=0.001)
+    chronic = teiv.teiv_equilibria(q)[1]
+    return teiv.teiv_lyapunov(q, chronic), teiv.teiv_model(q), chronic
+
+
+@pytest.mark.parametrize("name", ["sica_v1", "teiv"])
+def test_rate_along_matches_pointwise_chain_rule(name):
+    fn, model, anchor = chain_rule_case(name)
+    rng = np.random.default_rng(29)
+    states = anchor * np.exp(rng.uniform(-2.0, 2.0, size=(200, 4)))
+    rates = np.array([model.rhs(x) for x in states])
+    expected = np.array([orbital_derivative(fn, model, x) for x in states])
+    np.testing.assert_allclose(fn.rate_along(states, rates), expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        [field_derivative(fn, model, x) for x in states], expected, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------- certificates

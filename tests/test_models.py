@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from fracstab import ContractError
-from fracstab.config import ExperimentConfig
+from fracstab import ConfigError
+from fracstab.config import ExperimentConfig, config_from_dict
 from fracstab.models import MODELS, sica, teiv
 
 SCHEMA = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "schema.json")
@@ -20,15 +20,23 @@ SAMPLE_PARAMS = {
 }
 
 
+def config_document(model: str, params: dict) -> dict:
+    """A minimal config document around ``params``, through a JSON round trip."""
+    return json.loads(json.dumps({
+        "model": model, "params": params, "orders": [0.5],
+        "initial_state": [1.0, 1.0, 1.0, 1.0], "t_end": 1.0, "steps": 10,
+    }))
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_params_codec_round_trip_and_strictness(name):
-    spec, p = MODELS[name], SAMPLE_PARAMS[name]
-    doc = json.loads(json.dumps(dataclasses.asdict(p)))
-    assert spec.params_from_json(doc) == p
-    with pytest.raises(ContractError, match="unknown"):
-        spec.params_from_json(dict(doc, betta=0.1))
-    with pytest.raises(ContractError, match="beta"):
-        spec.params_from_json({k: v for k, v in doc.items() if k != "beta"})
+    p = SAMPLE_PARAMS[name]
+    params = dataclasses.asdict(p)
+    assert config_from_dict(config_document(name, params)).params == p
+    with pytest.raises(ConfigError, match="unknown"):
+        config_from_dict(config_document(name, dict(params, betta=0.1)))
+    with pytest.raises(ConfigError, match="beta"):
+        config_from_dict(config_document(name, {k: v for k, v in params.items() if k != "beta"}))
 
 
 def test_schema_enums_match_registry():

@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from fracstab import ContractError, DomainError, NoEndemicEquilibriumError, field_derivative
+from fracstab import (
+    ConfigError, ContractError, DomainError, NoEndemicEquilibriumError, field_derivative,
+)
+from fracstab.config import config_from_dict
 from fracstab.models import MODELS, sica
 from oracles import functional_value
 
@@ -46,19 +49,29 @@ def test_derived_rates():
     assert p.clearance_factor == pytest.approx(expected, rel=1e-15)
 
 
+def config_document(params: dict) -> dict:
+    """A minimal SICA config document around ``params``, through a JSON round trip."""
+    return json.loads(json.dumps({
+        "model": "sica", "params": params, "orders": [0.5],
+        "initial_state": [1.0, 1.0, 1.0, 1.0], "t_end": 1.0, "steps": 10,
+    }))
+
+
 def test_params_json_round_trip():
     p = baseline(beta=0.866, incidence="mass_action")
-    doc = json.loads(json.dumps(dataclasses.asdict(p)))
-    assert doc["lambda_"] == 10724.0
-    assert doc["incidence"] == "mass_action"
-    assert MODELS["sica"].params_from_json(doc) == p
+    doc = config_document(dataclasses.asdict(p))
+    assert doc["params"]["lambda_"] == 10724.0
+    assert doc["params"]["incidence"] == "mass_action"
+    assert config_from_dict(doc).params == p
 
 
 def test_params_json_rejects_unknown_field():
-    doc = dataclasses.asdict(baseline())
-    doc["betta"] = doc.pop("beta")
-    with pytest.raises(ContractError):
-        MODELS["sica"].params_from_json(doc)
+    params = dataclasses.asdict(baseline())
+    params["betta"] = params.pop("beta")
+    with pytest.raises(ConfigError, match="unknown"):
+        config_from_dict(config_document(params))
+    with pytest.raises(ConfigError, match="beta"):
+        config_from_dict(config_document({k: v for k, v in params.items() if k != "betta"}))
 
 
 # ---------------------------------------------------------------- vector field

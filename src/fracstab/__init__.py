@@ -34,7 +34,6 @@ from .lyapunov import (
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
-    field_derivative,
     identity_g,
     lemma_certificate,
     psi_profile,
@@ -72,7 +71,6 @@ __all__ = [
     "damped_newton",
     "decrescence_certificate",
     "default_tolerance",
-    "field_derivative",
     "identity_g",
     "l1_caputo",
     "lemma_certificate",

@@ -111,8 +111,8 @@ def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> i
     if g_label not in registry:
         raise ConfigError(f"unknown g label {g_label!r}; choose from {sorted(registry)}")
     g = registry[g_label]()
-    if xbar <= 0:
-        raise ConfigError("xbar must be strictly positive")
+    if not 0.0 < xbar < math.inf:
+        raise ConfigError(f"xbar must be finite and strictly positive, got {xbar!r}")
     order = FractionalOrder(order_value) if order_value is not None else cfg.orders[0]
 
     model = _model_of(cfg)

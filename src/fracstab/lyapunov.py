@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .caputo import FractionalOrder, SampledSignal, UniformGrid, l1_caputo
 from .errors import ContractError, DomainError
-from .solver import ModelDefinition, Trajectory
+from .solver import Trajectory
 
 _X_FLOOR = 1e-30  # below this, psi with a positive anchor is treated as singular
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(12)
@@ -212,12 +212,6 @@ def psi_slope(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     return 1.0 - g(xstar) / gx
 
 
-def field_derivative(functional: LyapunovFunctional, model: ModelDefinition, state) -> float:
-    """Classical orbital derivative of the functional under the model field at one state."""
-    state = np.asarray(state, dtype=float)
-    return float(functional.rate_along(state[None, :], model.rhs(state)[None, :])[0])
-
-
 def caputo_of_functional(values: np.ndarray, traj: Trajectory) -> SampledSignal:
     """Discrete Caputo derivative (L1 scheme) of a functional's values along a
     trajectory, as ``LyapunovFunctional.values_along(traj.states)`` gives them."""
@@ -241,8 +235,8 @@ def lemma_certificate(
     Both sides are discretized with the same L1 operator; the reported
     max_violation is the largest signed gap LHS - RHS over nodes k >= 1.
     """
-    if xbar <= 0:
-        raise DomainError("xbar must be strictly positive")
+    if not 0.0 < xbar < np.inf:
+        raise DomainError(f"xbar must be finite and strictly positive, got {xbar!r}")
     tolerance = default_tolerance(x.grid, order, float(np.abs(x.values).max()))
 
     psi_vals = psi_profile(g, xbar, x.values)

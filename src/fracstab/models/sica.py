@@ -64,32 +64,42 @@ class SicaParams:
         return self.mu * (x2 * (self.rho + x1) + x1 * self.phi + self.rho * self.d) + self.rho * self.omega * self.d
 
 
-def sica_rhs(p: SicaParams, state) -> np.ndarray:
-    """Right-hand side of the four-compartment field at a state (S, I, C, A).
+def sica_field(p: SicaParams):
+    """The four-compartment field at ``p``, as an rhs for ``ModelDefinition``.
 
-    The state is unpacked to Python floats, whose arithmetic is the same
-    IEEE double arithmetic as numpy's scalars at a fraction of the cost.
+    The rhs takes a state (S, I, C, A), unpacks it to Python floats and
+    returns the four rates as a list of Python floats: the same IEEE double
+    arithmetic as numpy's scalars at a fraction of the cost.  The params
+    are read once, here, not at every evaluation.
     """
-    S, I, C, A = np.asarray(state, dtype=float).tolist()
-    if p.incidence == "standard":
-        total = S + I + C + A
-        if total == 0.0:
-            raise DomainError("standard incidence undefined at zero total population")
-        inc = p.beta * S * I / total
-    else:
-        inc = p.beta * S * I
-    return np.array([
-        p.lambda_ - p.mu * S - inc,
-        inc - (p.rho + p.phi + p.mu) * I + p.alpha_t * A + p.omega * C,
-        p.phi * I - p.c_exit_rate * C,
-        p.rho * I - p.a_exit_rate * A,
-    ])
+    lambda_, mu, beta, phi, rho, alpha_t, omega = (
+        p.lambda_, p.mu, p.beta, p.phi, p.rho, p.alpha_t, p.omega)
+    i_exit, c_exit, a_exit = p.rho + p.phi + p.mu, p.c_exit_rate, p.a_exit_rate
+    standard = p.incidence == "standard"
+
+    def rhs(state) -> list:
+        S, I, C, A = np.asarray(state, dtype=float).tolist()
+        if standard:
+            total = S + I + C + A
+            if total == 0.0:
+                raise DomainError("standard incidence undefined at zero total population")
+            inc = beta * S * I / total
+        else:
+            inc = beta * S * I
+        return [
+            lambda_ - mu * S - inc,
+            inc - i_exit * I + alpha_t * A + omega * C,
+            phi * I - c_exit * C,
+            rho * I - a_exit * A,
+        ]
+
+    return rhs
 
 
 def sica_model(p: SicaParams) -> ModelDefinition:
     return ModelDefinition(
         dimension=4,
-        rhs=lambda x: sica_rhs(p, x),
+        rhs=sica_field(p),
         name=f"sica_{p.incidence}",
         state_labels=STATE_LABELS,
     )
@@ -140,7 +150,7 @@ def sica_endemic(p: SicaParams) -> np.ndarray:
         raise NoEndemicEquilibriumError(
             f"no endemic equilibrium: threshold {endemic_threshold(p):.4g} <= 1"
         )
-    return damped_newton(lambda x: sica_rhs(p, x), _endemic_seed(p))
+    return damped_newton(sica_field(p), _endemic_seed(p))
 
 
 def sica_r0_document(p: SicaParams) -> dict:

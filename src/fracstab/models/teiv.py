@@ -57,42 +57,58 @@ class TeivParams:
         return self.rho + self.mu_E + self.gamma
 
 
-def teiv_incidence(p: TeivParams, T: float, V: float) -> float:
-    """Saturated incidence beta*T / (1 + alpha1*T + alpha2*V + alpha3*T*V).
+def teiv_incidence(p: TeivParams):
+    """Saturated incidence (T, V) -> beta*T / (1 + alpha1*T + alpha2*V + alpha3*T*V).
 
-    A zero denominator (reachable only through an undershoot, T or V
-    below 0) gives inf or nan, as numpy's division does, for Python floats
-    too: a solve through it then ends in a divergence, not an exception.
+    The params are read once, here.  A zero denominator (reachable only
+    through an undershoot, T or V below 0) gives inf or nan, as numpy's
+    division does, for Python floats too: a solve through it then ends in
+    a divergence, not an exception.
     """
-    num = p.beta * T
-    den = 1.0 + p.alpha1 * T + p.alpha2 * V + p.alpha3 * T * V
-    try:
-        return num / den
-    except ZeroDivisionError:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.float64(num) / den)
+    beta, alpha1, alpha2, alpha3 = p.beta, p.alpha1, p.alpha2, p.alpha3
+
+    def incidence(T: float, V: float) -> float:
+        num = beta * T
+        den = 1.0 + alpha1 * T + alpha2 * V + alpha3 * T * V
+        try:
+            return num / den
+        except ZeroDivisionError:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return float(np.float64(num) / den)
+
+    return incidence
 
 
-def teiv_rhs(p: TeivParams, state) -> np.ndarray:
-    """Right-hand side of the four-compartment field at a state (T, E, I, V).
+def teiv_field(p: TeivParams):
+    """The four-compartment field at ``p``, as an rhs for ``ModelDefinition``.
 
-    The state is unpacked to Python floats, whose arithmetic is the same
-    IEEE double arithmetic as numpy's scalars at a fraction of the cost.
+    The rhs takes a state (T, E, I, V), unpacks it to Python floats and
+    returns the four rates as a list of Python floats: the same IEEE double
+    arithmetic as numpy's scalars at a fraction of the cost.  The params
+    are read once, here, not at every evaluation.
     """
-    T, E, I, V = np.asarray(state, dtype=float).tolist()
-    fv = teiv_incidence(p, T, V) * V
-    return np.array([
-        p.lambda_ - p.mu_T * T - fv + p.rho * E,
-        fv - p.eclipse_exit_rate * E,
-        p.gamma * E - p.mu_I * I,
-        p.k * I - p.mu_V * V,
-    ])
+    incidence = teiv_incidence(p)
+    lambda_, mu_T, rho, gamma, mu_I, k, mu_V = (
+        p.lambda_, p.mu_T, p.rho, p.gamma, p.mu_I, p.k, p.mu_V)
+    e_exit = p.eclipse_exit_rate
+
+    def rhs(state) -> list:
+        T, E, I, V = np.asarray(state, dtype=float).tolist()
+        fv = incidence(T, V) * V
+        return [
+            lambda_ - mu_T * T - fv + rho * E,
+            fv - e_exit * E,
+            gamma * E - mu_I * I,
+            k * I - mu_V * V,
+        ]
+
+    return rhs
 
 
 def teiv_model(p: TeivParams) -> ModelDefinition:
     return ModelDefinition(
         dimension=4,
-        rhs=lambda x: teiv_rhs(p, x),
+        rhs=teiv_field(p),
         name="teiv",
         state_labels=STATE_LABELS,
     )
@@ -118,11 +134,12 @@ def _chronic_seed(p: TeivParams) -> np.ndarray:
     # requires f(T, V(T)) * k gamma/(mu_I mu_V) = rho + mu_E + gamma.
     t0 = p.lambda_ / p.mu_T
     amp = p.k * p.gamma / (p.mu_I * p.mu_V)
+    incidence = teiv_incidence(p)
 
     def resid(T):
         E = (p.lambda_ - p.mu_T * T) / (p.mu_E + p.gamma)
         V = amp * E
-        return teiv_incidence(p, T, V) * amp - p.eclipse_exit_rate
+        return incidence(T, V) * amp - p.eclipse_exit_rate
 
     lo = 1e-12 * t0
     if resid(lo) >= 0 or resid(t0) <= 0:
@@ -150,7 +167,7 @@ def teiv_equilibria(p: TeivParams) -> list:
     """
     out = [teiv_infection_free(p)]
     if teiv_r0(p) > 1.0:
-        out.append(damped_newton(lambda x: teiv_rhs(p, x), _chronic_seed(p)))
+        out.append(damped_newton(teiv_field(p), _chronic_seed(p)))
     return out
 
 
@@ -173,7 +190,8 @@ def teiv_r0_document(p: TeivParams) -> dict:
 
 
 def _incidence_in_t(p: TeivParams, vbar: float) -> GFunction:
-    return GFunction(lambda theta: teiv_incidence(p, theta, vbar), label=f"incidence_V={vbar:g}")
+    incidence = teiv_incidence(p)
+    return GFunction(lambda theta: incidence(theta, vbar), label=f"incidence_V={vbar:g}")
 
 
 def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
@@ -190,7 +208,7 @@ def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     if anchor.shape != (4,):
         raise ContractError("anchor must be a 4-component state")
     scale = max(np.abs(anchor).max(), 1.0)
-    if np.abs(teiv_rhs(p, anchor)).max() > 1e-6 * scale:
+    if np.abs(teiv_field(p)(anchor)).max() > 1e-6 * scale:
         raise ContractError("anchor is not an equilibrium of the model")
 
     tbar, ebar, ibar, vbar = anchor

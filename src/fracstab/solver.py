@@ -5,6 +5,12 @@ predictor-corrector: one corrector pass, exact full memory, block-FFT
 history sums, O(N log^2 N).  The Grunwald-Letnikov and classical RK4
 solvers that cross-check it live with the tests, in ``tests/oracles.py``.
 
+The rhs contract: a model's rhs takes the state as a float ndarray and
+returns its d rates as a list of Python floats or as a float ndarray; the
+solver gives the same trajectory, bit for bit, for either.  The shipped
+models return lists, because at d = 4 one numpy call costs more than the
+scalar arithmetic it would replace, and a step makes two rhs calls.
+
 A single solve is sequential (each step needs the full history); distinct
 solves share nothing and may run concurrently.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gamma, isfinite
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,14 +32,16 @@ class ModelDefinition:
     """Autonomous vector field u' = rhs(u) with labelled components.
 
     ``rhs`` must be deterministic and side-effect free.  It takes a float
-    ndarray of length ``dimension`` and returns a float ndarray of the
-    same length.  A division by zero inside it gives inf or nan rather
-    than raising, so that the solver's finiteness guard reports the solve
-    as a ``DivergenceError`` at that node.
+    ndarray of length ``dimension`` and returns ``dimension`` rates, as a
+    list of Python floats (the shipped models) or as a float ndarray; code
+    that does array arithmetic on them converts with ``np.asarray``.  A
+    division by zero inside it gives inf or nan rather than raising, so
+    that the solver's finiteness guard reports the solve as a
+    ``DivergenceError`` at that node.
     """
 
     dimension: int
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[np.ndarray], Sequence[float]]
     name: str
     state_labels: tuple
 
@@ -86,7 +94,8 @@ def solve_fde_abm(
     Sources in the current block of ``_BLOCK`` nodes are summed directly;
     older ones were added by FFT at block boundaries (``_add_far_field``,
     after Hairer, Lubich & Schlichte 1985) to the rows of ``xs`` and
-    ``fs`` that are not yet computed.
+    ``fs`` that are not yet computed.  A step is one ``np.dot`` for the
+    near field, two rhs calls and Python-float arithmetic for the rest.
     """
     x0 = _check_x0(model, x0)
     alpha = order.alpha
@@ -101,6 +110,7 @@ def solve_fde_abm(
     # Scaled predictor (row 0) and corrector (row 1) kernels, reversed: the
     # weights of the m nodes before node k are the last m columns.
     reversed_kernels = np.stack([cp * dp[::-1], cq * d2q[::-1]])
+    near_kernels = [reversed_kernels[:, n - m:] for m in range(_BLOCK)]
 
     xs = np.empty((n + 1, model.dimension))
     fs = np.empty_like(xs)
@@ -119,19 +129,17 @@ def solve_fde_abm(
         m = k % _BLOCK
         if m == 0:
             _add_far_field(xs, fs, reversed_kernels[:, ::-1], k)
-        # In place: near[0] becomes the predictor xs[k] + near[0], and x the
-        # corrector cq * f(pred) + (fs[k] + near[1]).
-        near = reversed_kernels[:, n - m:] @ fs[k - m:k]
-        near += (xs[k], fs[k])
+        # Predictor xs[k] + near[0]; corrector cq * f(pred) + (near[1] + fs[k]).
+        near = np.dot(near_kernels[m], fs[k - m:k])
         pred = near[0]
+        pred += xs[k]
         if not all(map(isfinite, pred.tolist())):
             raise DivergenceError(k, alpha)
-        x = f(pred) * cq
-        x += near[1]
-        if not all(map(isfinite, x.tolist())):
+        x = [v * cq + (c + s) for v, c, s in zip(f(pred), near[1].tolist(), fs[k].tolist())]
+        if not all(map(isfinite, x)):
             raise DivergenceError(k, alpha)
         xs[k] = x
-        fs[k] = f(x)
+        fs[k] = f(xs[k])
 
     return Trajectory(grid, xs, order, model.name)
 
@@ -144,8 +152,9 @@ def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int) 
     block through exactly one such transfer.  Of the T = min(r, N + 1 - e)
     targets, target e + t takes source e - r + i with kernel entry
     r - 1 + t - i < r + T - 1, so a real FFT of at least that length gives
-    the sums without wrap-around.  One kernel and one column at a time
-    keep the temporaries small.
+    the sums without wrap-around.  Both kernels share one transform of
+    the (r, d) source block; each kernel's product is freed before the
+    next one's, which keeps the temporaries small.
     """
     r = _BLOCK
     while (e // r) % 2 == 0:
@@ -153,9 +162,8 @@ def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int) 
     hi = min(e + r, xs.shape[0])
     size = fft_size(r + hi - e - 1)
     out = slice(r - 1, r - 1 + hi - e)
-    for acc, kernel in zip((xs, fs), kernels):
-        spectrum = np.fft.rfft(kernel[:size], size)
-        for c in range(xs.shape[1]):
-            product = np.fft.rfft(fs[e - r:e, c], size)
-            product *= spectrum
-            acc[e:hi, c] += np.fft.irfft(product, size)[out]
+    sources = np.fft.rfft(fs[e - r:e], size, axis=0)
+    for acc, spectrum in zip((xs, fs), np.fft.rfft(kernels[:, :size], size)):
+        product = sources * spectrum[:, None]
+        acc[e:hi] += np.fft.irfft(product, size, axis=0)[out]
+        del product

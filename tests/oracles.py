@@ -77,6 +77,12 @@ def orbital_derivative(fn, model, state) -> float:
     return total
 
 
+def _array_rhs(model):
+    """The model's rhs with its rates as a float ndarray.  Model fields
+    return a list of Python floats; the oracles below do array arithmetic."""
+    return lambda x: np.asarray(model.rhs(x), dtype=float)
+
+
 def _guard_finite(x: np.ndarray, node: int, order: float) -> None:
     if not np.isfinite(x).all():
         raise DivergenceError(node, order)
@@ -100,12 +106,13 @@ def solve_fde_gl(model, order: FractionalOrder, x0, grid) -> Trajectory:
     n = grid.n_steps
     w = gl_weights(order, n)
     ha = grid.h ** order.alpha
+    f = _array_rhs(model)
     # v_k = u_k - u_0; shifted GL form of the Caputo operator:
     #   h^-alpha * sum_j w_j v_{k-j} = rhs(u_{k-1})
     v = np.zeros((n + 1, model.dimension))
     for k in range(1, n + 1):
         conv = np.tensordot(w[1: k + 1], v[k - 1:: -1], axes=1)
-        v[k] = ha * model.rhs(x0 + v[k - 1]) - conv
+        v[k] = ha * f(x0 + v[k - 1]) - conv
         _guard_finite(v[k], k, order.alpha)
     return Trajectory(grid, x0 + v, order, model.name)
 
@@ -113,7 +120,7 @@ def solve_fde_gl(model, order: FractionalOrder, x0, grid) -> Trajectory:
 def solve_ode_rk4(model, x0, grid) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta solution of u' = rhs(u)."""
     h = grid.h
-    f = model.rhs
+    f = _array_rhs(model)
     xs = np.empty((grid.n_nodes, model.dimension))
     xs[0] = np.asarray(x0, dtype=float)
     for k in range(1, grid.n_nodes):

@@ -92,7 +92,7 @@ def test_criterion_03_endemic_equilibrium_vs_published():
     computed = endemic_quantities(p, eq)
     rel = {k: abs(computed[k] - reference[k]) / abs(reference[k]) for k in reference}
     ok = max(rel.values()) <= 0.02
-    residual = np.abs(sica.sica_rhs(p, published)).max() / p.lambda_
+    residual = np.abs(sica.sica_field(p)(published)).max() / p.lambda_
     verdict(
         3, ok,
         "endemic equilibrium "

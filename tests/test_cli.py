@@ -304,6 +304,19 @@ def test_cmd_verify_lemma_bad_inputs(tmp_path, capsys):
                  "--coordinate", "S", "--xbar", "-2.0"]) == 2
 
 
+@pytest.mark.parametrize("xbar", ["nan", "inf", "0", "-1"])
+def test_cmd_verify_lemma_rejects_bad_xbar_before_solving(tmp_path, capsys, monkeypatch, xbar):
+    solves = []
+    monkeypatch.setattr("fracstab.cli.solve_fde_abm", lambda *args: solves.append(args))
+    code = main(["verify-lemma", "--config", write_config(tmp_path, BASE_SICA),
+                 "--coordinate", "S", "--xbar", xbar])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "xbar must be finite and strictly positive" in err["message"]
+    assert solves == []
+
+
 def test_cmd_verify_lemma_non_positive_samples_exit_2(tmp_path, capsys):
     # read as mass action with a small beta, I undershoots to -15,397 at node 2
     doc = copy.deepcopy(BASE_SICA)

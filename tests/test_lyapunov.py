@@ -18,7 +18,6 @@ from fracstab import (
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
-    field_derivative,
     identity_g,
     l1_caputo,
     lemma_certificate,
@@ -172,14 +171,16 @@ def test_field_derivative_quadratic_chain_rule():
         cross_quad_parts=(CrossQuadComponent(weight=1.0, indices=(0,), anchors=(0.0,)),),
     )
     # d/dt x^2/2 = x * (-2x) = -2 x^2
-    assert field_derivative(fn, model, [3.0]) == pytest.approx(-18.0)
+    state = np.array([3.0])
+    assert fn.rate_along([state], [model.rhs(state)])[0] == pytest.approx(-18.0)
 
 
 def test_field_derivative_log_part_multiplier():
     model = ModelDefinition(1, lambda u: np.array([5.0]), "constant", ("x",))
     fn = build_log_volterra([(1.0, 2.0)])
     # multiplier is 1 - xbar/x
-    assert field_derivative(fn, model, [4.0]) == pytest.approx((1.0 - 0.5) * 5.0)
+    state = np.array([4.0])
+    assert fn.rate_along([state], [model.rhs(state)])[0] == pytest.approx((1.0 - 0.5) * 5.0)
 
 
 def test_field_derivative_matches_finite_difference_of_value():
@@ -197,7 +198,8 @@ def test_field_derivative_matches_finite_difference_of_value():
     traj = solve_ode_rk4(model, [2.0, 1.0], grid)
     values = fn.values_along(traj.states)
     numeric = (values[1] - values[0]) / 1e-4
-    assert field_derivative(fn, model, [2.0, 1.0]) == pytest.approx(numeric, rel=1e-3)
+    state = np.array([2.0, 1.0])
+    assert fn.rate_along([state], [model.rhs(state)])[0] == pytest.approx(numeric, rel=1e-3)
 
 
 def chain_rule_case(name):
@@ -220,8 +222,6 @@ def test_rate_along_matches_pointwise_chain_rule(name):
     rates = np.array([model.rhs(x) for x in states])
     expected = np.array([orbital_derivative(fn, model, x) for x in states])
     np.testing.assert_allclose(fn.rate_along(states, rates), expected, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(
-        [field_derivative(fn, model, x) for x in states], expected, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------- certificates
@@ -259,8 +259,9 @@ def test_lemma_certificate_constant_signal_zero_violation():
 def test_lemma_certificate_domain_errors():
     grid = UniformGrid(0.0, 0.01, 10)
     good = SampledSignal(grid, np.linspace(1.0, 2.0, 11))
-    with pytest.raises(DomainError):
-        lemma_certificate(good, identity_g(), 0.0, FractionalOrder(0.5))
+    for xbar in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="finite and strictly positive"):
+            lemma_certificate(good, identity_g(), xbar, FractionalOrder(0.5))
     bad = SampledSignal(grid, np.linspace(-0.5, 2.0, 11))
     with pytest.raises(DomainError):
         lemma_certificate(bad, identity_g(), 1.0, FractionalOrder(0.5))

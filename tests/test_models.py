@@ -52,9 +52,9 @@ def test_schema_enums_match_registry():
 
 
 
-# The rhs functions unpack the state to Python floats.  These re-typings
-# evaluate the same expressions on numpy float64 scalars, the reference the
-# float arithmetic must match bit for bit.
+# The model fields unpack the state to Python floats and return a list of
+# Python floats.  These re-typings evaluate the same expressions on numpy
+# float64 scalars, the reference the float arithmetic must match bit for bit.
 def sica_rhs_numpy(p, state):
     S, I, C, A = np.asarray(state, dtype=float)
     if p.incidence == "standard":
@@ -80,17 +80,18 @@ def teiv_rhs_numpy(p, state):
     ])
 
 
-@pytest.mark.parametrize("rhs,reference,params,scale", [
-    (sica.sica_rhs, sica_rhs_numpy, sica.baseline_params(0.066, "standard"), 6e5),
-    (sica.sica_rhs, sica_rhs_numpy, sica.baseline_params(0.866, "mass_action"), 6e5),
-    (teiv.teiv_rhs, teiv_rhs_numpy, SAMPLE_PARAMS["teiv"], 50.0),
+@pytest.mark.parametrize("field,reference,params,scale", [
+    (sica.sica_field, sica_rhs_numpy, sica.baseline_params(0.066, "standard"), 6e5),
+    (sica.sica_field, sica_rhs_numpy, sica.baseline_params(0.866, "mass_action"), 6e5),
+    (teiv.teiv_field, teiv_rhs_numpy, SAMPLE_PARAMS["teiv"], 50.0),
 ], ids=["sica_standard", "sica_mass_action", "teiv"])
 @pytest.mark.parametrize("container", [np.asarray, list, tuple])
-def test_rhs_bit_identical_to_numpy_scalar_arithmetic(rhs, reference, params, scale, container):
+def test_rhs_bit_identical_to_numpy_scalar_arithmetic(field, reference, params, scale, container):
+    rhs = field(params)
     rng = np.random.default_rng(20)
     # a fifth of the components negative, as in a solver undershoot
     states = scale * rng.uniform(-0.25, 1.0, size=(200, 4))
     for state in states:
-        out = rhs(params, container(state))
-        assert out.dtype == np.float64 and out.shape == (4,)
+        out = rhs(container(state))
+        assert type(out) is list and len(out) == 4 and all(type(v) is float for v in out)
         assert np.array_equal(out, reference(params, state))

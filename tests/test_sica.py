@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracstab import (
-    ConfigError, ContractError, DomainError, NoEndemicEquilibriumError, field_derivative,
+    ConfigError, ContractError, DomainError, NoEndemicEquilibriumError,
 )
 from fracstab.config import config_from_dict
 from fracstab.models import MODELS, sica
@@ -80,7 +80,7 @@ def test_rhs_vanishes_at_disease_free_point_both_incidences():
     for incidence in ("standard", "mass_action"):
         p = baseline(incidence=incidence)
         np.testing.assert_allclose(
-            sica.sica_rhs(p, sica.sica_disease_free(p)), 0.0, atol=1e-9
+            sica.sica_field(p)(sica.sica_disease_free(p)), 0.0, atol=1e-9
         )
 
 
@@ -90,15 +90,15 @@ def test_rhs_mass_action_hand_value():
     p = sica.SicaParams(lambda_=eps, mu=1.0, beta=1.0, rho=eps, phi=eps,
                         alpha_t=eps, omega=eps, d=eps, incidence="mass_action")
     np.testing.assert_allclose(
-        sica.sica_rhs(p, [1.0, 1.0, 0.0, 0.0]), [-2.0, 0.0, 0.0, 0.0], atol=1e-12
+        sica.sica_field(p)([1.0, 1.0, 0.0, 0.0]), [-2.0, 0.0, 0.0, 0.0], atol=1e-12
     )
 
 
 def test_rhs_standard_incidence_divides_by_total():
     p = baseline()
     state = np.array([100.0, 50.0, 30.0, 20.0])
-    mass = sica.sica_rhs(sica.baseline_params(incidence="mass_action"), state)
-    std = sica.sica_rhs(p, state)
+    mass = sica.sica_field(sica.baseline_params(incidence="mass_action"))(state)
+    std = sica.sica_field(p)(state)
     # the two variants differ exactly by the 1/N factor in the transmission term
     inc_mass = p.beta * state[0] * state[1]
     inc_std = inc_mass / state.sum()
@@ -107,7 +107,7 @@ def test_rhs_standard_incidence_divides_by_total():
 
 def test_rhs_standard_incidence_zero_population_error():
     with pytest.raises(DomainError):
-        sica.sica_rhs(baseline(), [0.0, 0.0, 0.0, 0.0])
+        sica.sica_field(baseline())([0.0, 0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------- R0 and equilibria
@@ -155,7 +155,7 @@ def test_endemic_structural_identities():
     assert eq[2] == pytest.approx(p.phi * eq[1] / p.c_exit_rate, rel=1e-12)
     assert eq[3] == pytest.approx(p.rho * eq[1] / p.a_exit_rate, rel=1e-12)
     scale = np.abs(eq).max()
-    assert np.abs(sica.sica_rhs(p, eq)).max() <= 1e-9 * scale
+    assert np.abs(sica.sica_field(p)(eq)).max() <= 1e-9 * scale
 
 
 def test_endemic_mass_action_threshold_and_identity():
@@ -166,7 +166,7 @@ def test_endemic_mass_action_threshold_and_identity():
     eq = sica.sica_endemic(p)
     q = p.clearance_factor / (p.a_exit_rate * p.c_exit_rate)
     assert eq[0] == pytest.approx(q / p.beta, rel=1e-9)
-    assert np.abs(sica.sica_rhs(p, eq)).max() <= 1e-9 * np.abs(eq).max()
+    assert np.abs(sica.sica_field(p)(eq)).max() <= 1e-9 * np.abs(eq).max()
 
 
 # ---------------------------------------------------------------- functionals
@@ -193,8 +193,9 @@ def test_v1_orbital_derivative_nonpositive():
     v1 = sica.sica_v1(p, eq)
     model = sica.sica_model(p)
     rng = np.random.default_rng(17)
-    for state in admissible_states(rng, eq, 300):
-        assert field_derivative(v1, model, state) <= 1e-9
+    states = admissible_states(rng, eq, 300)
+    rates = [model.rhs(state) for state in states]
+    assert (v1.rate_along(states, rates) <= 1e-9).all()
 
 
 def test_v0_values():
@@ -211,11 +212,13 @@ def test_v0_orbital_derivative_nonpositive_below_threshold():
     model = sica.sica_model(p)
     s0 = p.lambda_ / p.mu
     rng = np.random.default_rng(23)
+    states = []
     for _ in range(300):
         frac = rng.dirichlet(np.ones(4))
         total = rng.uniform(0.4, 1.2) * s0
-        state = np.maximum(frac * total, 1e-6)
-        assert field_derivative(v0, model, state) <= 1e-9
+        states.append(np.maximum(frac * total, 1e-6))
+    rates = [model.rhs(state) for state in states]
+    assert (v0.rate_along(states, rates) <= 1e-9).all()
 
 
 # ---------------------------------------------------------------- spectral threshold
@@ -254,13 +257,13 @@ def test_mass_action_baseline_is_spectrally_inconsistent():
 
 
 def test_spectral_check_reads_the_rhs(monkeypatch):
-    # R0 = 0.9, but an rhs whose transmission term is 1.2x the published
-    # one has the free point unstable: a check that linearizes the rhs
-    # must see the disagreement with the R0 formula
+    # R0 = 0.9, but a field whose transmission term is 1.2x the published
+    # one has the free point unstable: a check that linearizes the model's
+    # rhs must see the disagreement with the R0 formula
     p = baseline(beta=0.066 * 0.9 / sica.sica_r0(baseline()))
     assert sica.sica_r0(p) == pytest.approx(0.9)
     assert MODELS["sica"].spectral_consistent(p)
-    rhs = sica.sica_rhs
-    monkeypatch.setattr(sica, "sica_rhs",
-                        lambda q, state: rhs(dataclasses.replace(q, beta=1.2 * q.beta), state))
+    field = sica.sica_field
+    monkeypatch.setattr(sica, "sica_field",
+                        lambda q: field(dataclasses.replace(q, beta=1.2 * q.beta)))
     assert not MODELS["sica"].spectral_consistent(p)

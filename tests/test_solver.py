@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from fracstab import (
     UniformGrid,
     solve_fde_abm,
 )
-from fracstab.caputo import adams_tables
+from fracstab.caputo import adams_tables, fft_size
+from fracstab.models import sica
+from fracstab.solver import _BLOCK, _add_far_field
 from oracles import solve_fde_gl, solve_ode_rk4
 
 # one-step Mittag-Leffler fact, frozen from an independent special-function
@@ -135,6 +138,65 @@ def test_abm_divergence_node_matches_direct_sums_past_a_block():
     with pytest.raises(DivergenceError) as err:
         solve_fde_abm(blow_up, order, x0, grid)
     assert err.value.node == node
+
+
+def solve_or_node(model, x0, grid):
+    """The states of an order-0.7 solve, or the node at which it diverged."""
+    try:
+        return solve_fde_abm(model, FractionalOrder(0.7), x0, grid).states
+    except DivergenceError as exc:
+        return exc.node
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("model,x0,grid,diverges", [
+    (sica.sica_model(sica.baseline_params(0.866)),
+     [596597.568, 74574.696, 37287.348, 37287.348], UniformGrid(0.0, 0.4, 700), False),
+    (ModelDefinition(1, lambda u: [0.02 * v * v for v in u.tolist()], "growth", ("u",)),
+     [1.0], UniformGrid(0.0, 0.5, 400), True),
+], ids=["sica", "diverging_past_a_block"])
+def test_list_and_ndarray_rhs_give_the_same_solve(model, x0, grid, diverges):
+    # The model fields return lists; an rhs that returns an ndarray, as the
+    # re-typed models of bench/checks.py do, must give the same solve.
+    as_array = dataclasses.replace(model, rhs=lambda u: np.array(model.rhs(u)))
+    lists, arrays = solve_or_node(model, x0, grid), solve_or_node(as_array, x0, grid)
+    if diverges:
+        assert lists == arrays > _BLOCK
+    else:
+        assert lists.shape == (grid.n_nodes, model.dimension) and np.array_equal(lists, arrays)
+
+
+def per_column_far_field(xs, fs, kernels, e):
+    """The far-field transfer one kernel and one column at a time: the
+    reference for the solver's transfer, which shares one source FFT."""
+    r = _BLOCK
+    while (e // r) % 2 == 0:
+        r *= 2
+    hi = min(e + r, xs.shape[0])
+    size = fft_size(r + hi - e - 1)
+    out = slice(r - 1, r - 1 + hi - e)
+    for acc, kernel in zip((xs, fs), kernels):
+        spectrum = np.fft.rfft(kernel[:size], size)
+        for c in range(xs.shape[1]):
+            product = np.fft.rfft(fs[e - r:e, c], size)
+            product *= spectrum
+            acc[e:hi, c] += np.fft.irfft(product, size)[out]
+
+
+@pytest.mark.parametrize("e,n_nodes", [(128, 1100), (512, 1100), (512, 701)],
+                         ids=["full_128", "full_512", "last_partial_512"])
+def test_far_field_transfer_bit_identical_to_per_column_transfer(e, n_nodes):
+    # e = 512 transfers r = 512 sources to [512, 1024): all of them with 1,100
+    # nodes, and only the last 189 with 701, as at the end of a solve
+    rng = np.random.default_rng(e + n_nodes)
+    xs, fs = rng.standard_normal((2, n_nodes, 4))
+    kernels = rng.standard_normal((2, n_nodes - 1))
+    before = xs.copy()
+    ref_xs, ref_fs = xs.copy(), fs.copy()
+    per_column_far_field(ref_xs, ref_fs, kernels, e)
+    _add_far_field(xs, fs, kernels, e)
+    assert (xs[e:min(2 * e, n_nodes)] != before[e:min(2 * e, n_nodes)]).all()
+    assert np.array_equal(xs, ref_xs) and np.array_equal(fs, ref_fs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -11,7 +11,6 @@ from fracstab import (
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
-    field_derivative,
     solve_fde_abm,
 )
 from fracstab.models import MODELS, teiv
@@ -61,24 +60,24 @@ def test_params_allow_zero_saturation():
 # ---------------------------------------------------------------- incidence and field
 
 def test_incidence_zero_at_zero_target_cells():
-    assert teiv.teiv_incidence(demo_params(), 0.0, 5.0) == 0.0
+    assert teiv.teiv_incidence(demo_params())(0.0, 5.0) == 0.0
 
 
 def test_incidence_mass_action_limit():
     p = demo_params(alpha1=0.0, alpha2=0.0, alpha3=0.0)
-    assert teiv.teiv_incidence(p, 7.0, 3.0) == pytest.approx(p.beta * 7.0)
+    assert teiv.teiv_incidence(p)(7.0, 3.0) == pytest.approx(p.beta * 7.0)
 
 
 def test_incidence_saturated_hand_value():
     p = demo_params(beta=1.0, alpha1=1.0, alpha2=1.0, alpha3=1.0)
-    assert teiv.teiv_incidence(p, 1.0, 1.0) == pytest.approx(0.25)
+    assert teiv.teiv_incidence(p)(1.0, 1.0) == pytest.approx(0.25)
 
 
 def test_rhs_at_zero_incidence_denominator_is_non_finite_without_raising():
     # 1 + 0.5 V = 0 at the undershoot V = -2: the field must carry inf or
     # nan to the solver's guard, not raise or warn
     p = demo_params(alpha1=0.0, alpha2=0.5, alpha3=0.0)
-    out = teiv.teiv_rhs(p, np.array([40.0, 1.0, 1.0, -2.0]))
+    out = teiv.teiv_field(p)(np.array([40.0, 1.0, 1.0, -2.0]))
     assert not np.isfinite(out[:2]).any()
     assert np.isfinite(out[2:]).all()
 
@@ -87,14 +86,14 @@ def test_rhs_hand_value_unit_parameters():
     p = teiv.TeivParams(lambda_=1.0, mu_T=1.0, mu_E=1.0, mu_I=1.0, mu_V=1.0,
                         rho=1.0, gamma=1.0, k=1.0, beta=1.0)
     np.testing.assert_allclose(
-        teiv.teiv_rhs(p, [1.0, 1.0, 1.0, 1.0]), [0.0, -2.0, 0.0, 0.0], atol=1e-14
+        teiv.teiv_field(p)([1.0, 1.0, 1.0, 1.0]), [0.0, -2.0, 0.0, 0.0], atol=1e-14
     )
 
 
 def test_rhs_vanishes_at_infection_free_point():
     p = demo_params()
     np.testing.assert_allclose(
-        teiv.teiv_rhs(p, teiv.teiv_infection_free(p)), 0.0, atol=1e-12
+        teiv.teiv_field(p)(teiv.teiv_infection_free(p)), 0.0, atol=1e-12
     )
 
 
@@ -139,7 +138,7 @@ def test_chronic_equilibrium_positive_with_small_residual():
         chronic = eqs[1]
         assert (chronic[1:] > 0).all()
         scale = np.abs(chronic).max()
-        assert np.abs(teiv.teiv_rhs(p, chronic)).max() <= 1e-9 * max(scale, 1.0)
+        assert np.abs(teiv.teiv_field(p)(chronic)).max() <= 1e-9 * max(scale, 1.0)
         found += 1
 
 
@@ -200,8 +199,9 @@ def test_t_part_psi_invariant_under_incidence_scaling():
     # psi depends on the shape function only through the ratio g(anchor)/g(s)
     p = demo_params()
     vbar = 12.5
-    g1 = GFunction(lambda th: teiv.teiv_incidence(p, th, vbar), "incidence")
-    g5 = GFunction(lambda th: 5.0 * teiv.teiv_incidence(p, th, vbar), "scaled")
+    incidence = teiv.teiv_incidence(p)
+    g1 = GFunction(lambda th: incidence(th, vbar), "incidence")
+    g5 = GFunction(lambda th: 5.0 * incidence(th, vbar), "scaled")
     for x in (3.0, 20.0, 75.0):
         assert psi(g5, 30.0, x) == pytest.approx(psi(g1, 30.0, x), rel=1e-12)
 
@@ -212,9 +212,9 @@ def test_lyapunov_orbital_derivative_nonpositive_at_chronic():
     L = teiv.teiv_lyapunov(p, chronic)
     model = teiv.teiv_model(p)
     rng = np.random.default_rng(31)
-    for _ in range(200):
-        state = chronic * np.exp(rng.uniform(-1.0, 1.0, size=4))
-        assert field_derivative(L, model, state) <= 1e-9
+    states = [chronic * np.exp(rng.uniform(-1.0, 1.0, size=4)) for _ in range(200)]
+    rates = [model.rhs(state) for state in states]
+    assert (L.rate_along(states, rates) <= 1e-9).all()
 
 
 def test_decrescence_along_trajectory_at_chronic_anchor():

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +21,16 @@ from .config import ExperimentConfig, load_config
 from .csvio import write_csv
 from .errors import ConfigError, DivergenceError, FracstabError
 from .lyapunov import (
+    Certificate,
     GFunction,
+    LyapunovFunctional,
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
     identity_g,
     lemma_certificate,
 )
-from .solver import solve_fde_abm
+from .solver import Trajectory, solve_fde_abm
 from .svgplot import plot_panels
 
 EXIT_PASS = 0
@@ -128,6 +131,53 @@ def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> i
     return EXIT_PASS if cert.passed else EXIT_CERT_FAIL
 
 
+@dataclass(frozen=True)
+class OrderEvidence:
+    """What one solved trajectory shows about its order: the decrescence
+    certificate of the functional and the approach to the target equilibrium.
+
+    ``distances[k]`` is max_i |x_i(t_k) - target_i| / max(max_i |target_i|, 1).
+    """
+
+    trajectory: Trajectory
+    certificate: Certificate
+    distances: np.ndarray
+
+    @property
+    def final_relative_distance(self) -> float:
+        return float(self.distances[-1])
+
+    @property
+    def ball_entry_time(self) -> float | None:
+        """Time of the first node at a distance of at most 0.05; None if there is none."""
+        inside = np.flatnonzero(self.distances <= 0.05)
+        return float(self.trajectory.grid.times()[inside[0]]) if inside.size else None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "order": self.trajectory.order.alpha,
+            "decrescence": self.certificate.to_json_dict(),
+            "final_relative_distance": self.final_relative_distance,
+            "ball_entry_time_5pct": self.ball_entry_time,
+        }
+
+
+def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> OrderEvidence:
+    """The functional's L1 Caputo derivative along ``traj``, certified non-positive
+    up to ``default_tolerance`` at scale max(max |V|, 1), and the distances to ``target``.
+
+    ``caputo_of_functional`` and ``decrescence_certificate`` are looked up
+    here, on this module, so that a wrapper installed on either is the one
+    that runs.
+    """
+    V = functional.values_along(traj.states)
+    dV = caputo_of_functional(V, traj)
+    scale = max(float(np.abs(V).max()), 1.0)
+    cert = decrescence_certificate(dV, default_tolerance(traj.grid, traj.order, scale))
+    dists = np.abs(traj.states - target).max(axis=1) / max(float(np.abs(target).max()), 1.0)
+    return OrderEvidence(traj, cert, dists)
+
+
 def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
     model = _model_of(cfg)
     grid = _grid_of(cfg)
@@ -144,28 +194,17 @@ def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
     all_certified = True
     for order in cfg.orders:
         traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
-        V = functional.values_along(traj.states)
-        dV = caputo_of_functional(V, traj)
-        scale = float(np.abs(V).max())
-        cert = decrescence_certificate(dV, default_tolerance(grid, order, max(scale, 1.0)))
-        dists = np.abs(traj.states - target).max(axis=1) / max(float(np.abs(target).max()), 1.0)
-        inside = np.flatnonzero(dists <= 0.05)
-        entry_time = float(grid.times()[inside[0]]) if inside.size else None
-
+        evidence = certify_order(functional, traj, target)
+        passed = evidence.certificate.passed
         if not consistent:
             verdict = f"{regime}, r0/spectral inconsistency"
-        elif cert.passed:
+        elif passed:
             verdict = f"{regime}, certified"
         else:
             verdict = f"{regime}, uncertified"
-        all_certified = all_certified and consistent and cert.passed
-        per_order.append({
-            "order": order.alpha,
-            "verdict": verdict,
-            "decrescence": cert.to_json_dict(),
-            "final_relative_distance": float(dists[-1]),
-            "ball_entry_time_5pct": entry_time,
-        })
+        all_certified = all_certified and consistent and passed
+        # "order" stays the first key and "verdict" the second
+        per_order.append({"order": order.alpha, "verdict": verdict, **evidence.to_json_dict()})
 
     doc = {
         "model": cfg.model,

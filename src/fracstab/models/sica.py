@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ContractError, DomainError, NoEndemicEquilibriumError
 from ..lyapunov import LyapunovFunctional, build_log_volterra
-from ..newton import damped_newton
+from ..newton import damped_newton, require_equilibrium
 from ..solver import ModelDefinition
 
 INCIDENCE_VARIANTS = ("mass_action", "standard")
@@ -173,7 +173,9 @@ def sica_v1(p: SicaParams, anchor) -> LyapunovFunctional:
     Weights (1, 1, omega/xi2, alpha_t/xi1) on (S, I, C, A).  Anchored at
     the endemic equilibrium this is V1; a zero anchor coordinate
     degenerates to a linear term, so at the disease-free point it is V0.
+    Raises ``ContractError`` for an anchor that is not an equilibrium.
     """
+    anchor = require_equilibrium(sica_field(p), anchor, 4)
     weights = (1.0, 1.0, p.omega / p.c_exit_rate, p.alpha_t / p.a_exit_rate)
     return build_log_volterra(list(zip(weights, anchor)))
 

@@ -20,7 +20,7 @@ from ..lyapunov import (
     PsiComponent,
     identity_g,
 )
-from ..newton import damped_newton
+from ..newton import damped_newton, require_equilibrium
 from ..solver import ModelDefinition
 
 STATE_LABELS = ("T", "E", "I", "V")
@@ -203,13 +203,9 @@ def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     quadratic form on (T - Tbar + E - Ebar) weighted by
     rho(1 + alpha2 Vbar)/(1 + alpha1 Tbar + alpha2 Vbar + alpha3 Tbar Vbar).
     Components whose anchor coordinate is zero degenerate to linear terms.
+    Raises ``ContractError`` for an anchor that is not an equilibrium.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    if anchor.shape != (4,):
-        raise ContractError("anchor must be a 4-component state")
-    scale = max(np.abs(anchor).max(), 1.0)
-    if np.abs(teiv_field(p)(anchor)).max() > 1e-6 * scale:
-        raise ContractError("anchor is not an equilibrium of the model")
+    anchor = require_equilibrium(teiv_field(p), anchor, 4)
 
     tbar, ebar, ibar, vbar = anchor
     xi = p.eclipse_exit_rate

@@ -1,4 +1,5 @@
-"""Damped Newton iteration for small nonlinear systems."""
+"""Damped Newton iteration for small nonlinear systems, and the residual
+test that a functional's anchor is an equilibrium."""
 
 from __future__ import annotations
 
@@ -6,11 +7,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NewtonError
+from .errors import ContractError, NewtonError
 
 _MAX_ITER = 200
 _STEP_TOL = 1e-12       # relative step norm that ends the iteration
 _RESIDUAL_TOL = 1e-9    # accepted max |f(x)|, relative to max(|x|, 1)
+_ANCHOR_TOL = 1e-6      # the same, for the anchor of a Lyapunov functional
 
 
 def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -66,3 +68,18 @@ def damped_newton(f: Callable, x0) -> np.ndarray:
                 raise NewtonError(f"residual {residual:.3g} too large at {x}")
             return x
     raise NewtonError(f"no convergence after {_MAX_ITER} iterations")
+
+
+def require_equilibrium(f: Callable, anchor, dimension: int) -> np.ndarray:
+    """``anchor`` as a float array, checked to be a root of the vector field ``f``.
+
+    Raises ``ContractError`` unless it has ``dimension`` components and
+    max |f(anchor)| <= 1e-6 max(max |anchor|, 1).
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    if anchor.shape != (dimension,):
+        raise ContractError(f"anchor must be a {dimension}-component state")
+    scale = max(np.abs(anchor).max(), 1.0)
+    if np.abs(f(anchor)).max() > _ANCHOR_TOL * scale:
+        raise ContractError("anchor is not an equilibrium of the model")
+    return anchor

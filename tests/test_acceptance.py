@@ -26,14 +26,12 @@ from fracstab import (
     ModelDefinition,
     SampledSignal,
     UniformGrid,
-    caputo_of_functional,
-    decrescence_certificate,
-    default_tolerance,
     identity_g,
     l1_caputo,
     lemma_certificate,
     solve_fde_abm,
 )
+from fracstab.cli import certify_order
 from fracstab.models import MODELS, sica, teiv
 from oracles import solve_fde_gl, solve_ode_rk4
 
@@ -187,46 +185,43 @@ ROUNDING_FLOOR = 1e-12
 BALL_ORDERS = (0.9, 1.0)
 
 
-# Figure trajectories by (beta, order): criterion 11 reuses two of
-# criterion 8's solves.  Tests only read the cached trajectories.
-_FIGURE_TRAJECTORIES = {}
+# Figure evidence by (beta, order): criterion 11 reuses two of criterion 8's
+# solves.  Tests only read the cached evidence.
+_FIGURE_EVIDENCE = {}
 
 
-def figure_trajectory(beta, alpha):
+def figure_evidence(beta, alpha):
+    """``certify_order`` of the figure solve at (beta, alpha): V1 at the endemic
+    equilibrium above the threshold, V0 at the disease-free one otherwise."""
     key = (beta, alpha)
-    if key not in _FIGURE_TRAJECTORIES:
-        model = sica.sica_model(sica.baseline_params(beta=beta))
-        _FIGURE_TRAJECTORIES[key] = solve_fde_abm(model, FractionalOrder(alpha), FIG_INITIAL, FIG_GRID)
-    return _FIGURE_TRAJECTORIES[key]
+    if key not in _FIGURE_EVIDENCE:
+        p = sica.baseline_params(beta=beta)
+        endemic = sica.endemic_threshold(p) > 1.0
+        target = sica.sica_endemic(p) if endemic else sica.sica_disease_free(p)
+        functional = sica.sica_v1(p, target)  # V0 at the disease-free point
+        traj = solve_fde_abm(sica.sica_model(p), FractionalOrder(alpha), FIG_INITIAL, FIG_GRID)
+        _FIGURE_EVIDENCE[key] = certify_order(functional, traj, target)
+    return _FIGURE_EVIDENCE[key]
 
 
 def run_figure_experiment(beta, ball):
-    p = sica.baseline_params(beta=beta)
-    endemic = sica.endemic_threshold(p) > 1.0
-    target = sica.sica_endemic(p) if endemic else sica.sica_disease_free(p)
-    functional = sica.sica_v1(p, target) if endemic else sica.sica_v0(p)
     lines, ok = [], True
     for alpha in FIG_ORDERS:
-        order = FractionalOrder(alpha)
-        traj = figure_trajectory(beta, alpha)
-        V = functional.values_along(traj.states)
-        dV = caputo_of_functional(V, traj)
-        scale = max(float(np.abs(V).max()), 1.0)
-        cert = decrescence_certificate(dV, default_tolerance(FIG_GRID, order, scale))
-        dists = np.abs(traj.states - target).max(axis=1) / np.abs(target).max()
-        tail = dists[FIG_GRID.n_steps // 2:]
+        evidence = figure_evidence(beta, alpha)
+        passed = evidence.certificate.passed
+        tail = evidence.distances[FIG_GRID.n_steps // 2:]
         rise = float(np.diff(tail).max())
         approaching = rise < ROUNDING_FLOOR and (tail[-1] < tail[0] or tail[0] < ROUNDING_FLOOR)
-        dist = tail[-1]
+        dist = evidence.final_relative_distance
         if alpha in BALL_ORDERS:
             in_ball = dist <= ball
             ball_note = f"({'<=' if in_ball else '>'} {ball})"
         else:
             in_ball = True
             ball_note = f"(ball {ball} reported, not asserted: t^(-alpha) tail)"
-        ok = ok and cert.passed and approaching and in_ball
+        ok = ok and passed and approaching and in_ball
         lines.append(
-            f"theta={alpha}: decrescence {'ok' if cert.passed else 'VIOLATED'}, "
+            f"theta={alpha}: decrescence {'ok' if passed else 'VIOLATED'}, "
             f"approach on [T/2, T] {'monotone' if approaching else 'NOT monotone'} "
             f"(largest node-to-node change {rise:.1e}, rise floor {ROUNDING_FLOOR:.0e}), "
             f"final distance {dist:.4f} {ball_note}"
@@ -276,13 +271,8 @@ def test_criterion_10_teiv_property_suite():
         model = teiv.teiv_model(p)
         x0 = chronic * np.array([1.3, 0.7, 1.2, 0.8])
         for alpha in (0.8, 1.0):
-            order = FractionalOrder(alpha)
-            traj = solve_fde_abm(model, order, x0, grid)
-            V = L.values_along(traj.states)
-            dV = caputo_of_functional(V, traj)
-            scale = max(float(np.abs(V).max()), 1.0)
-            cert = decrescence_certificate(dV, default_tolerance(grid, order, scale))
-            cert_failures += 0 if cert.passed else 1
+            traj = solve_fde_abm(model, FractionalOrder(alpha), x0, grid)
+            cert_failures += 0 if certify_order(L, traj, chronic).certificate.passed else 1
 
     spectral_failures = 0
     checked = 0
@@ -308,13 +298,7 @@ def test_criterion_11_figure_shape_note():
     # that smaller derivative orders converge faster is reported via the
     # 5%-ball entry time in the report command, never asserted, and indeed
     # the measured entry times do not support it at long horizons.
-    target = sica.sica_disease_free(sica.baseline_params(beta=0.066))
-    entries = {}
-    for alpha in (0.7, 1.0):
-        traj = figure_trajectory(0.066, alpha)
-        dists = np.abs(traj.states - target).max(axis=1) / np.abs(target).max()
-        inside = np.flatnonzero(dists <= 0.05)
-        entries[alpha] = float(FIG_GRID.times()[inside[0]]) if inside.size else None
+    entries = {alpha: figure_evidence(0.066, alpha).ball_entry_time for alpha in (0.7, 1.0)}
     reported = all(v is None or v > 0 for v in entries.values())
     verdict(11, reported, "figure replication out of scope by agreement; "
             f"5%-ball entry times reported (not asserted): {entries}")

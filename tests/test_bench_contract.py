@@ -53,6 +53,8 @@ def test_tracer_patches_every_lookup_point_and_restores_it(tmp_path):
     assert summary["solver.abm_calls"] == 2 and summary["solver.node_steps"] == 80
     # one functional pass per solve feeds both the L1 derivative and the scale
     assert spans.count("lyapunov.values_along") == 2
+    # each solve's L1 derivative and certificate are looked up on cli, where the tracer wraps them
+    assert spans.count("lyapunov.decrescence") == 4
 
 
 def test_order1_reference_builds_the_program_model_positionally():

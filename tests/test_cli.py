@@ -5,8 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from fracstab import ConfigError, FractionalOrder, NewtonError, UniformGrid, solve_fde_abm
-from fracstab.cli import main
+from fracstab import (
+    ConfigError,
+    FractionalOrder,
+    NewtonError,
+    Trajectory,
+    UniformGrid,
+    build_log_volterra,
+    default_tolerance,
+    solve_fde_abm,
+)
+from fracstab.cli import certify_order, main
 from fracstab.config import config_from_dict, load_config
 from fracstab.csvio import write_csv
 from fracstab.models import sica, teiv
@@ -45,6 +54,9 @@ BASE_TEIV = {
     "steps": 200,
     "functionals": ["teiv_at_anchor"],
 }
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -377,6 +389,73 @@ def test_cmd_report_flags_mass_action_inconsistency(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["r0_spectral_consistent"] is False
     assert all("inconsistency" in e["verdict"] for e in out["per_order"])
+
+
+def test_cmd_report_rejects_an_anchor_that_is_not_an_equilibrium(capsys, monkeypatch):
+    endemic = sica.sica_endemic
+    monkeypatch.setattr(sica, "sica_endemic", lambda p: 1.05 * endemic(p))
+    code = main(["report", "--config", os.path.join(CONFIGS, "fig2.json")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ContractError" and "not an equilibrium" in err["message"]
+
+
+def test_cmd_report_per_order_is_certify_order_plus_verdict(tmp_path, capsys):
+    assert main(["report", "--config", write_config(tmp_path, BASE_SICA)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    cfg = config_from_dict(BASE_SICA)
+    target = cfg.spec.predicted(cfg.params)
+    functional = cfg.spec.functional_at(cfg.params, target)
+    grid = UniformGrid(0.0, cfg.t_end / cfg.steps, cfg.steps)
+    for order, entry in zip(cfg.orders, doc["per_order"]):
+        traj = solve_fde_abm(cfg.spec.model(cfg.params), order, cfg.initial_state, grid)
+        evidence = certify_order(functional, traj, target).to_json_dict()
+        assert entry.pop("verdict") == "disease-free, certified"
+        assert entry == json.loads(json.dumps(evidence))
+
+
+# ---------------------------------------------------------------- per-order evidence
+
+def hand_built(states, target, h=0.5, alpha=0.9):
+    """A trajectory through given states, a log-Volterra functional at ``target``,
+    and their ``certify_order``."""
+    states = np.asarray(states, dtype=float)
+    traj = Trajectory(UniformGrid(0.0, h, len(states) - 1), states, FractionalOrder(alpha), "hand")
+    functional = build_log_volterra([(1.0, x) for x in target])
+    return traj, functional, certify_order(functional, traj, target)
+
+
+def test_certify_order_ball_entry_is_the_first_node_within_5pct():
+    # distances over max|target| = 20: 0.5, 0.1, 0.05 (on the boundary), 0.025, 0.075
+    traj, functional, evidence = hand_built(
+        [[10.0, 30.0], [12.0, 21.0], [10.0, 19.0], [10.5, 20.0], [10.0, 21.5]], [10.0, 20.0])
+    assert evidence.distances.tolist() == [0.5, 0.1, 0.05, 0.025, 0.075]
+    assert evidence.ball_entry_time == 1.0
+    assert evidence.final_relative_distance == 0.075
+    scale = float(functional.values_along(traj.states).max())
+    assert scale > 1.0
+    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, scale)
+    doc = evidence.to_json_dict()
+    assert list(doc) == ["order", "decrescence", "final_relative_distance", "ball_entry_time_5pct"]
+    assert doc["order"] == 0.9 and doc["ball_entry_time_5pct"] == 1.0
+    assert doc["decrescence"] == evidence.certificate.to_json_dict()
+
+
+def test_certify_order_no_entry_time_outside_the_ball():
+    _, _, evidence = hand_built([[10.0, 30.0], [10.0, 25.0], [10.0, 21.5]], [10.0, 20.0])
+    assert evidence.distances.tolist() == [0.5, 0.25, 0.075]
+    assert evidence.ball_entry_time is None
+    assert evidence.to_json_dict()["ball_entry_time_5pct"] is None
+    assert evidence.final_relative_distance == 0.075
+
+
+def test_certify_order_small_target_is_normalised_by_one():
+    # max|target| = 0.5 < 1: distances are absolute, not doubled
+    traj, functional, evidence = hand_built([[0.5, 0.375], [0.5, 0.25]], [0.5, 0.25])
+    assert evidence.distances.tolist() == [0.125, 0.0]
+    assert evidence.ball_entry_time == traj.grid.h
+    assert float(functional.values_along(traj.states).max()) < 1.0  # so the tolerance scale is 1
+    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, 1.0)
 
 
 def test_missing_config_file_is_config_error(tmp_path):

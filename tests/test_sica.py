@@ -187,6 +187,15 @@ def test_v1_zero_at_endemic_positive_elsewhere():
             assert functional_value(v1, state) > 0.0
 
 
+def test_v1_rejects_non_equilibrium_anchor():
+    p = baseline(beta=0.866)
+    eq = sica.sica_endemic(p)
+    with pytest.raises(ContractError, match="not an equilibrium"):
+        sica.sica_v1(p, 1.05 * eq)
+    with pytest.raises(ContractError, match="4-component"):
+        sica.sica_v1(p, eq[:3])
+
+
 def test_v1_orbital_derivative_nonpositive():
     p = baseline(beta=0.866)
     eq = sica.sica_endemic(p)

@@ -8,11 +8,9 @@ from fracstab import (
     FractionalOrder,
     GFunction,
     UniformGrid,
-    caputo_of_functional,
-    decrescence_certificate,
-    default_tolerance,
     solve_fde_abm,
 )
+from fracstab.cli import certify_order
 from fracstab.models import MODELS, teiv
 from oracles import functional_value, psi
 
@@ -225,12 +223,8 @@ def test_decrescence_along_trajectory_at_chronic_anchor():
     grid = UniformGrid(0.0, 100.0 / 800, 800)
     x0 = chronic * np.array([1.3, 0.7, 1.2, 0.8])
     for alpha in (0.8, 1.0):
-        order = FractionalOrder(alpha)
-        traj = solve_fde_abm(model, order, x0, grid)
-        V = L.values_along(traj.states)
-        dV = caputo_of_functional(V, traj)
-        scale = max(float(np.abs(V).max()), 1.0)
-        cert = decrescence_certificate(dV, default_tolerance(grid, order, scale))
+        traj = solve_fde_abm(model, FractionalOrder(alpha), x0, grid)
+        cert = certify_order(L, traj, chronic).certificate
         assert cert.passed, (alpha, cert.max_violation, cert.tolerance)
 
 

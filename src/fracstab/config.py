@@ -7,9 +7,8 @@ would invalidate every certificate downstream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
-
-import numpy as np
 
 from .caputo import FractionalOrder
 from .errors import ConfigError, ContractError, FracstabError
@@ -18,9 +17,13 @@ from .models import MODELS, ModelSpec
 
 def _number(value, name: str):
     """``value`` itself, unless it is a JSON boolean, which Python counts as
-    the integer 0 or 1 but the schema does not count as a number."""
+    the integer 0 or 1 but the schema does not count as a number, or one of
+    the non-finite numbers ``NaN``, ``Infinity`` and ``-Infinity``, which
+    Python's json reads but no rate, order, time or state can be."""
     if isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got the boolean {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
     return value
 
 
@@ -48,7 +51,7 @@ class ExperimentConfig:
             raise ConfigError("orders must be non-empty")
         if self.steps < 10:
             raise ConfigError(f"steps must be >= 10, got {self.steps}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
+        if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if len(self.initial_state) != 4:
             raise ConfigError("initial_state must have 4 components")

@@ -20,6 +20,11 @@ def write_csv(path: str, header: list, columns: list) -> None:
     cols = [np.asarray(c, dtype=float) for c in columns]
     if any(c.size != cols[0].size for c in cols):
         raise ContractError("columns must have equal length")
+    table = np.column_stack(cols)
+    # One row template, repeated and filled by a single % over all the
+    # values: the bytes of np.savetxt(fmt="%.17g", delimiter=","), which
+    # formats row by row.
+    rows = (",".join(["%.17g"] * len(cols)) + "\n") * table.shape[0]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        fh.write(rows % tuple(table.ravel().tolist()))

@@ -67,10 +67,11 @@ class SicaParams:
 def sica_field(p: SicaParams):
     """The four-compartment field at ``p``, as an rhs for ``ModelDefinition``.
 
-    The rhs takes a state (S, I, C, A), unpacks it to Python floats and
-    returns the four rates as a list of Python floats: the same IEEE double
-    arithmetic as numpy's scalars at a fraction of the cost.  The params
-    are read once, here, not at every evaluation.
+    The rhs takes a state (S, I, C, A) as four Python floats and returns the
+    four rates as a list of Python floats: the same IEEE double arithmetic
+    as numpy's scalars at a fraction of the cost.  A caller holding an
+    ndarray passes ``state.tolist()``.  The params are read once, here,
+    not at every evaluation.
     """
     lambda_, mu, beta, phi, rho, alpha_t, omega = (
         p.lambda_, p.mu, p.beta, p.phi, p.rho, p.alpha_t, p.omega)
@@ -78,7 +79,7 @@ def sica_field(p: SicaParams):
     standard = p.incidence == "standard"
 
     def rhs(state) -> list:
-        S, I, C, A = np.asarray(state, dtype=float).tolist()
+        S, I, C, A = state
         if standard:
             total = S + I + C + A
             if total == 0.0:

@@ -82,10 +82,11 @@ def teiv_incidence(p: TeivParams):
 def teiv_field(p: TeivParams):
     """The four-compartment field at ``p``, as an rhs for ``ModelDefinition``.
 
-    The rhs takes a state (T, E, I, V), unpacks it to Python floats and
-    returns the four rates as a list of Python floats: the same IEEE double
-    arithmetic as numpy's scalars at a fraction of the cost.  The params
-    are read once, here, not at every evaluation.
+    The rhs takes a state (T, E, I, V) as four Python floats and returns the
+    four rates as a list of Python floats: the same IEEE double arithmetic
+    as numpy's scalars at a fraction of the cost.  A caller holding an
+    ndarray passes ``state.tolist()``.  The params are read once, here,
+    not at every evaluation.
     """
     incidence = teiv_incidence(p)
     lambda_, mu_T, rho, gamma, mu_I, k, mu_V = (
@@ -93,7 +94,7 @@ def teiv_field(p: TeivParams):
     e_exit = p.eclipse_exit_rate
 
     def rhs(state) -> list:
-        T, E, I, V = np.asarray(state, dtype=float).tolist()
+        T, E, I, V = state
         fv = incidence(T, V) * V
         return [
             lambda_ - mu_T * T - fv + rho * E,

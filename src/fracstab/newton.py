@@ -16,7 +16,8 @@ _ANCHOR_TOL = 1e-6      # the same, for the anchor of a Lyapunov functional
 
 
 def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of ``f``, which may return any float sequence."""
+    """Central-difference Jacobian at the float ndarray ``x`` of ``f``, an rhs:
+    it takes a list of Python floats and may return any float sequence."""
     n = x.size
     J = np.empty((n, n))
     fx_scale = np.maximum(np.abs(x), 1.0)
@@ -24,22 +25,22 @@ def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
         step = 1e-7 * fx_scale[i]
         e = np.zeros(n)
         e[i] = step
-        J[:, i] = np.subtract(f(x + e), f(x - e)) / (2.0 * step)
+        J[:, i] = np.subtract(f((x + e).tolist()), f((x - e).tolist())) / (2.0 * step)
     return J
 
 
 def damped_newton(f: Callable, x0) -> np.ndarray:
     """Root of ``f`` by Newton iteration with step halving on residual increase.
 
-    ``f`` takes a float ndarray and may return any float sequence, such as
-    a model rhs's list.
+    ``f`` follows the rhs contract of ``ModelDefinition``: it takes a list
+    of Python floats and may return any float sequence.
 
     Stops when the relative step norm drops below 1e-12 and returns the
     root only if max |f(x)| <= 1e-9 max(max |x|, 1); raises ``NewtonError``
     otherwise, or after 200 iterations without convergence.
     """
     def residual(x):
-        return np.asarray(f(x), dtype=float)
+        return np.asarray(f(x.tolist()), dtype=float)
 
     x = np.asarray(x0, dtype=float).copy()
     fx = residual(x)
@@ -71,7 +72,8 @@ def damped_newton(f: Callable, x0) -> np.ndarray:
 
 
 def require_equilibrium(f: Callable, anchor, dimension: int) -> np.ndarray:
-    """``anchor`` as a float array, checked to be a root of the vector field ``f``.
+    """``anchor`` as a float array, checked to be a root of the vector field ``f``
+    (an rhs, which takes a list of Python floats).
 
     Raises ``ContractError`` unless it has ``dimension`` components and
     max |f(anchor)| <= 1e-6 max(max |anchor|, 1).
@@ -80,6 +82,6 @@ def require_equilibrium(f: Callable, anchor, dimension: int) -> np.ndarray:
     if anchor.shape != (dimension,):
         raise ContractError(f"anchor must be a {dimension}-component state")
     scale = max(np.abs(anchor).max(), 1.0)
-    if np.abs(f(anchor)).max() > _ANCHOR_TOL * scale:
+    if np.abs(f(anchor.tolist())).max() > _ANCHOR_TOL * scale:
         raise ContractError("anchor is not an equilibrium of the model")
     return anchor

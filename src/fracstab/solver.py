@@ -5,11 +5,13 @@ predictor-corrector: one corrector pass, exact full memory, block-FFT
 history sums, O(N log^2 N).  The Grunwald-Letnikov and classical RK4
 solvers that cross-check it live with the tests, in ``tests/oracles.py``.
 
-The rhs contract: a model's rhs takes the state as a float ndarray and
-returns its d rates as a list of Python floats or as a float ndarray; the
-solver gives the same trajectory, bit for bit, for either.  The shipped
-models return lists, because at d = 4 one numpy call costs more than the
-scalar arithmetic it would replace, and a step makes two rhs calls.
+The rhs contract: a model's rhs takes the state as a list of d Python
+floats and returns its d rates as a list of Python floats or as a float
+ndarray; the solver gives the same trajectory, bit for bit, for either.
+A caller that holds the state as an ndarray passes ``state.tolist()``.
+The shipped models unpack the state and return lists, because at d = 4
+one numpy call costs more than the scalar arithmetic it would replace,
+and a step makes two rhs calls.
 
 A single solve is sequential (each step needs the full history); distinct
 solves share nothing and may run concurrently.
@@ -31,8 +33,8 @@ from .errors import ContractError, DivergenceError
 class ModelDefinition:
     """Autonomous vector field u' = rhs(u) with labelled components.
 
-    ``rhs`` must be deterministic and side-effect free.  It takes a float
-    ndarray of length ``dimension`` and returns ``dimension`` rates, as a
+    ``rhs`` must be deterministic and side-effect free.  It takes a list
+    of ``dimension`` Python floats and returns ``dimension`` rates, as a
     list of Python floats (the shipped models) or as a float ndarray; code
     that does array arithmetic on them converts with ``np.asarray``.  A
     division by zero inside it gives inf or nan rather than raising, so
@@ -41,7 +43,7 @@ class ModelDefinition:
     """
 
     dimension: int
-    rhs: Callable[[np.ndarray], Sequence[float]]
+    rhs: Callable[[list], Sequence[float]]
     name: str
     state_labels: tuple
 
@@ -95,7 +97,9 @@ def solve_fde_abm(
     older ones were added by FFT at block boundaries (``_add_far_field``,
     after Hairer, Lubich & Schlichte 1985) to the rows of ``xs`` and
     ``fs`` that are not yet computed.  A step is one ``np.dot`` for the
-    near field, two rhs calls and Python-float arithmetic for the rest.
+    near field, two rhs calls and Python-float arithmetic for the rest;
+    the far-field rows of a block are read as lists once, and its computed
+    states are written to ``xs`` once, at the end of the block.
     """
     x0 = _check_x0(model, x0)
     alpha = order.alpha
@@ -110,12 +114,14 @@ def solve_fde_abm(
     # Scaled predictor (row 0) and corrector (row 1) kernels, reversed: the
     # weights of the m nodes before node k are the last m columns.
     reversed_kernels = np.stack([cp * dp[::-1], cq * d2q[::-1]])
+    kernels = reversed_kernels[:, ::-1]
     near_kernels = [reversed_kernels[:, n - m:] for m in range(_BLOCK)]
+    spectra = {}
 
     xs = np.empty((n + 1, model.dimension))
     fs = np.empty_like(xs)
     xs[0] = x0
-    fs[0] = f(x0)
+    fs[0] = f(x0.tolist())
     # Until node k is computed, xs[k] and fs[k] hold x0 plus the scaled
     # far-field predictor and corrector sums.  The corrector kernel gives
     # node 0 the weight d2q[k-1] in place of start[k-1]; the difference
@@ -125,26 +131,32 @@ def solve_fde_abm(
     fs[1:] += x0
     del dp, d2q, start  # free before the FFTs, which set the peak memory
 
-    for k in range(1, n + 1):
-        m = k % _BLOCK
-        if m == 0:
-            _add_far_field(xs, fs, reversed_kernels[:, ::-1], k)
-        # Predictor xs[k] + near[0]; corrector cq * f(pred) + (near[1] + fs[k]).
-        near = np.dot(near_kernels[m], fs[k - m:k])
-        pred = near[0]
-        pred += xs[k]
-        if not all(map(isfinite, pred.tolist())):
-            raise DivergenceError(k, alpha)
-        x = [v * cq + (c + s) for v, c, s in zip(f(pred), near[1].tolist(), fs[k].tolist())]
-        if not all(map(isfinite, x)):
-            raise DivergenceError(k, alpha)
-        xs[k] = x
-        fs[k] = f(xs[k])
+    for b in range(0, n + 1, _BLOCK):
+        if b:
+            _add_far_field(xs, fs, kernels, b, spectra)
+        end = min(b + _BLOCK, n + 1)
+        first = max(b, 1)
+        x_far = xs[first:end].tolist()
+        f_far = fs[first:end].tolist()
+        rows = []
+        for k, x_k, f_k in zip(range(first, end), x_far, f_far):
+            # Predictor near_p + x_k; corrector cq * f(pred) + (near_c + f_k).
+            near_p, near_c = np.dot(near_kernels[k - b], fs[b:k]).tolist()
+            pred = [p + s for p, s in zip(near_p, x_k)]
+            if not all(map(isfinite, pred)):
+                raise DivergenceError(k, alpha)
+            x = [v * cq + (c + s) for v, c, s in zip(f(pred), near_c, f_k)]
+            if not all(map(isfinite, x)):
+                raise DivergenceError(k, alpha)
+            rows.append(x)
+            fs[k] = f(x)
+        xs[first:end] = rows
 
     return Trajectory(grid, xs, order, model.name)
 
 
-def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int) -> None:
+def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int,
+                   spectra: dict) -> None:
     """Add the sources at nodes [e - r, e) to the sums of targets [e, e + r).
 
     ``e`` is a multiple of ``_BLOCK``, and r = _BLOCK * 2^j is the block
@@ -154,7 +166,9 @@ def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int) 
     r - 1 + t - i < r + T - 1, so a real FFT of at least that length gives
     the sums without wrap-around.  Both kernels share one transform of
     the (r, d) source block; each kernel's product is freed before the
-    next one's, which keeps the temporaries small.
+    next one's, which keeps the temporaries small.  ``spectra`` maps an
+    FFT size to the kernels' transforms at that size; a solve passes the
+    same dict to every transfer, so each size is transformed once.
     """
     r = _BLOCK
     while (e // r) % 2 == 0:
@@ -162,8 +176,10 @@ def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int) 
     hi = min(e + r, xs.shape[0])
     size = fft_size(r + hi - e - 1)
     out = slice(r - 1, r - 1 + hi - e)
+    if size not in spectra:
+        spectra[size] = np.fft.rfft(kernels[:, :size], size)
     sources = np.fft.rfft(fs[e - r:e], size, axis=0)
-    for acc, spectrum in zip((xs, fs), np.fft.rfft(kernels[:, :size], size)):
+    for acc, spectrum in zip((xs, fs), spectra[size]):
         product = sources * spectrum[:, None]
         acc[e:hi] += np.fft.irfft(product, size, axis=0)[out]
         del product

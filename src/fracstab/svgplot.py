@@ -1,7 +1,10 @@
 """Minimal self-contained SVG line plots (no plotting dependency).
 
 Hand-emitted axes, polylines, and labels keep the artifact hermetic and
-the output diffable.
+the output diffable.  A curve with more than 4 samples per pixel column
+is drawn from each column's first, last, lowest and highest sample (M4
+aggregation; Jugel et al., PVLDB 7(10), 2014), which draws the same line
+at that width; shorter curves keep every sample.
 """
 
 from __future__ import annotations
@@ -19,6 +22,14 @@ _MARGIN = 48
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
+
+
+def _m4(first: np.ndarray, last: np.ndarray, columns: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices of each column's first, last, min-y and max-y sample, ascending
+    and distinct.  ``columns`` is the non-decreasing column of each sample,
+    and ``first`` and ``last`` are the first and last index of each column."""
+    by_y = np.lexsort((ys, columns))  # column by column, each in ascending y
+    return np.unique(np.concatenate((first, last, by_y[first], by_y[last])))
 
 
 def _panel(svg: list, ox: float, oy: float, times, curves, labels, title: str) -> None:
@@ -53,11 +64,18 @@ def _panel(svg: list, ox: float, oy: float, times, curves, labels, title: str) -
     svg.append(
         f'<text x="{left + w}" y="{top + h + 16}" text-anchor="middle" font-size="10">{_fmt(t1)}</text>'
     )
-    xs = (left + (times - t0) * sx).tolist()
+    offsets = (times - t0) * sx
+    xs = left + offsets
+    decimate = times.size > 4 * (w + 1)
+    if decimate:
+        columns = np.floor(offsets)
+        first = np.flatnonzero(np.diff(columns, prepend=-1.0))
+        last = np.append(first[1:], times.size) - 1
     for i, (c, label) in enumerate(zip(curves, labels)):
         color = CURVE_COLORS[i % len(CURVE_COLORS)]
         ys = top + (ymax - np.asarray(c, dtype=float)) * sy
-        pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys.tolist()))
+        keep = _m4(first, last, columns, ys) if decimate else slice(None)
+        pts = " ".join(map("{:.2f},{:.2f}".format, xs[keep].tolist(), ys[keep].tolist()))
         svg.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
@@ -71,8 +89,11 @@ def plot_panels(path: str, times, panels: list, curve_labels: list) -> None:
     """Write a grid of line-plot panels to an SVG file.
 
     ``panels`` is a list of (title, list-of-curves); every curve has the
-    same length as ``times`` and panel i draws one curve per entry of
-    ``curve_labels`` in a fixed color order.
+    same length as ``times``, which ascends, and panel i draws one curve
+    per entry of ``curve_labels`` in a fixed color order.  Sample k falls
+    in pixel column floor((times[k] - times[0]) * w / (times[-1] - times[0]))
+    of a plot w pixels wide; with more than 4 samples per column, a curve
+    keeps only each column's first, last, min-y and max-y samples.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:

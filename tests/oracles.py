@@ -3,8 +3,10 @@
 None of these runs in the program.  Each computes the same quantity as a
 package function by a different method: adaptive quadrature in place of
 the fixed Gauss-Legendre profile, pointwise sums in place of the
-vectorized functional and its chain rule, and direct Grunwald-Letnikov or
-Runge-Kutta sums in place of the block-FFT Adams solver.
+vectorized functional and its chain rule, direct Grunwald-Letnikov or
+Runge-Kutta sums in place of the block-FFT Adams solver, and that solver's
+one-row-at-a-time ndarray form with per-column far-field transforms in
+place of its list-valued block loop.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from fracstab import DivergenceError, DomainError, FractionalOrder, Trajectory
+from fracstab.caputo import adams_tables, fft_size
 from fracstab.lyapunov import _X_FLOOR
+from fracstab.solver import _BLOCK
 
 
 def _check_positive_x(x: float, xstar: float) -> None:
@@ -59,7 +63,7 @@ def orbital_derivative(fn, model, state) -> float:
     1 - g(xstar)/g(x_i) of a psi part (1 for a zero anchor), plus the chain
     rule of each cross-quadratic part."""
     state = np.asarray(state, dtype=float)
-    fx = model.rhs(state)
+    fx = model.rhs(state.tolist())
     total = 0.0
     for part in fn.psi_parts:
         x = state[part.component_index]
@@ -78,9 +82,10 @@ def orbital_derivative(fn, model, state) -> float:
 
 
 def _array_rhs(model):
-    """The model's rhs with its rates as a float ndarray.  Model fields
-    return a list of Python floats; the oracles below do array arithmetic."""
-    return lambda x: np.asarray(model.rhs(x), dtype=float)
+    """The model's rhs from a float ndarray state to a float ndarray of rates.
+    Model fields take and return lists of Python floats; the oracles below
+    do array arithmetic."""
+    return lambda x: np.asarray(model.rhs(x.tolist()), dtype=float)
 
 
 def _guard_finite(x: np.ndarray, node: int, order: float) -> None:
@@ -132,3 +137,61 @@ def solve_ode_rk4(model, x0, grid) -> Trajectory:
         xs[k] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _guard_finite(xs[k], k, 1.0)
     return Trajectory(grid, xs, FractionalOrder(1.0), model.name)
+
+
+def per_column_far_field(xs, fs, kernels, e):
+    """The far-field transfer one kernel and one column at a time: the
+    reference for the solver's transfer, which shares one source FFT and
+    caches the kernel spectra."""
+    r = _BLOCK
+    while (e // r) % 2 == 0:
+        r *= 2
+    hi = min(e + r, xs.shape[0])
+    size = fft_size(r + hi - e - 1)
+    out = slice(r - 1, r - 1 + hi - e)
+    for acc, kernel in zip((xs, fs), kernels):
+        spectrum = np.fft.rfft(kernel[:size], size)
+        for c in range(xs.shape[1]):
+            product = np.fft.rfft(fs[e - r:e, c], size)
+            product *= spectrum
+            acc[e:hi, c] += np.fft.irfft(product, size)[out]
+
+
+def solve_fde_abm_stepwise(model, order: FractionalOrder, x0, grid) -> Trajectory:
+    """``solve_fde_abm`` one node at a time on ndarray rows: each step reads
+    and writes its rows of ``xs`` and ``fs`` in place, and the far field is
+    added per column.  The same arithmetic in the same order, so the same
+    trajectory and the same ``DivergenceError`` node, bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    alpha, h, n = order.alpha, grid.h, grid.n_steps
+    f = model.rhs
+    ha = h ** alpha
+    cp = ha / (alpha * math.gamma(alpha))
+    cq = ha / math.gamma(alpha + 2.0)
+    dp, d2q, start = adams_tables(order, n)
+    reversed_kernels = np.stack([cp * dp[::-1], cq * d2q[::-1]])
+    near_kernels = [reversed_kernels[:, n - m:] for m in range(_BLOCK)]
+
+    xs = np.empty((n + 1, model.dimension))
+    fs = np.empty_like(xs)
+    xs[0] = x0
+    fs[0] = f(x0.tolist())
+    xs[1:] = x0
+    np.outer(cq * (start - d2q), fs[0], out=fs[1:])
+    fs[1:] += x0
+
+    for k in range(1, n + 1):
+        m = k % _BLOCK
+        if m == 0:
+            per_column_far_field(xs, fs, reversed_kernels[:, ::-1], k)
+        near = np.dot(near_kernels[m], fs[k - m:k])
+        pred = near[0]
+        pred += xs[k]
+        if not all(map(math.isfinite, pred.tolist())):
+            raise DivergenceError(k, alpha)
+        x = [v * cq + (c + s) for v, c, s in zip(f(pred.tolist()), near[1].tolist(), fs[k].tolist())]
+        if not all(map(math.isfinite, x)):
+            raise DivergenceError(k, alpha)
+        xs[k] = x
+        fs[k] = f(xs[k].tolist())
+    return Trajectory(grid, xs, order, model.name)

@@ -90,7 +90,7 @@ def test_criterion_03_endemic_equilibrium_vs_published():
     computed = endemic_quantities(p, eq)
     rel = {k: abs(computed[k] - reference[k]) / abs(reference[k]) for k in reference}
     ok = max(rel.values()) <= 0.02
-    residual = np.abs(sica.sica_field(p)(published)).max() / p.lambda_
+    residual = np.abs(sica.sica_field(p)(published.tolist())).max() / p.lambda_
     verdict(
         3, ok,
         "endemic equilibrium "
@@ -118,7 +118,7 @@ def test_criterion_04_classical_degeneracy():
 
 
 def test_criterion_05_scheme_cross_validation():
-    model = ModelDefinition(1, lambda u: -u, "scalar_decay", ("u",))
+    model = ModelDefinition(1, lambda u: [-v for v in u], "scalar_decay", ("u",))
     grid = UniformGrid(0.0, 1e-3, 1000)
     gaps = {}
     for alpha in (0.3, 0.5, 0.7, 0.9):

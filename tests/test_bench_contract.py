@@ -51,6 +51,9 @@ def test_tracer_patches_every_lookup_point_and_restores_it(tmp_path):
     summary = tracer.summary()
     assert summary["cli.calls"] == 1 and summary["newton.calls"] == 1
     assert summary["solver.abm_calls"] == 2 and summary["solver.node_steps"] == 80
+    # f(x0) and two calls a step per solve, plus the 4 x 2 central differences
+    # of the spectral check: the step must not change how often it evaluates
+    assert summary["models.rhs_calls"] == 2 * (1 + 2 * 40) + 8
     # one functional pass per solve feeds both the L1 derivative and the scale
     assert spans.count("lyapunov.values_along") == 2
     # each solve's L1 derivative and certificate are looked up on cli, where the tracer wraps them

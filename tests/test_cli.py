@@ -179,6 +179,56 @@ def test_svg_points_match_per_point_reference(tmp_path):
     assert points == expected
 
 
+def test_svg_long_curve_keeps_each_columns_first_last_and_y_extremes(tmp_path):
+    # 5,001 samples over 265 pixel columns: about 19 a column, so M4 applies
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.0, 2000.0, 5001)
+    curve = np.cumsum(rng.standard_normal(times.size))
+    path = str(tmp_path / "plot.svg")
+    plot_panels(path, times, [("X", [curve])], ["a"])
+    with open(path, encoding="utf-8") as fh:
+        (line,) = [ln for ln in fh.read().splitlines() if ln.startswith("<polyline")]
+    emitted = line.split('points="')[1].split('"')[0].split()
+
+    # every sample formatted; 0.0528 px apart, so each x string names one sample
+    left = top = 48
+    sx = (360 - 2 * 48) / (times[-1] - times[0])
+    sy = (240 - 2 * 48) / (curve.max() - curve.min())
+    full = [f"{left + (t - times[0]) * sx:.2f},{top + (curve.max() - y) * sy:.2f}"
+            for t, y in zip(times, curve)]
+    index_of = {point.split(",")[0]: k for k, point in enumerate(full)}
+    kept = [index_of[point.split(",")[0]] for point in emitted]
+    assert [full[k] for k in kept] == emitted
+    assert all(a < b for a, b in zip(kept, kept[1:]))  # time order, no repeats
+    xs = [float(point.split(",")[0]) for point in emitted]
+    assert all(a <= b for a, b in zip(xs, xs[1:]))
+
+    columns = np.floor((times - times[0]) * sx).astype(int)
+    assert len(emitted) < times.size
+    for col in np.unique(columns):
+        members = np.flatnonzero(columns == col)
+        mine = [k for k in kept if columns[k] == col]
+        assert len(mine) <= 4
+        assert members[0] in mine and members[-1] in mine
+        ys = [float(full[k].split(",")[1]) for k in members]
+        kept_ys = [float(full[k].split(",")[1]) for k in mine]
+        assert min(kept_ys) == min(ys) and max(kept_ys) == max(ys)
+
+
+def test_svg_keeps_every_sample_up_to_4_per_pixel_column(tmp_path):
+    # 264 pixels give 265 columns: 1,060 samples are drawn in full, 1,061 are not
+    rng = np.random.default_rng(13)
+    emitted = {}
+    for n in (1060, 1061):
+        times = np.linspace(0.0, 1.0, n)
+        path = str(tmp_path / f"plot{n}.svg")
+        plot_panels(path, times, [("X", [np.cumsum(rng.standard_normal(n))])], ["a"])
+        with open(path, encoding="utf-8") as fh:
+            (line,) = [ln for ln in fh.read().splitlines() if ln.startswith("<polyline")]
+        emitted[n] = len(line.split('points="')[1].split('"')[0].split())
+    assert emitted[1060] == 1060 and emitted[1061] < 1061
+
+
 # ---------------------------------------------------------------- commands
 
 def test_cmd_r0_baseline(tmp_path, capsys):
@@ -223,6 +273,14 @@ def test_cmd_simulate_artifacts_round_trip(tmp_path, capsys):
     assert svg.startswith("<?xml")
     assert svg.count("<polyline") == 8  # 4 state panels x 2 orders
     assert 'stroke="blue"' in svg and 'stroke="red"' in svg
+
+
+def test_cmd_simulate_fig2_writes_a_decimated_svg(tmp_path, capsys):
+    # 16 curves of 5,001 nodes: 1.1 MB with every sample, about 124 KB with M4
+    out_dir = str(tmp_path / "out")
+    code = main(["simulate", "--config", os.path.join(CONFIGS, "fig2.json"), "--out", out_dir])
+    assert code == 0
+    assert os.path.getsize(os.path.join(out_dir, "states.svg")) < 200_000
 
 
 def diverging_mass_action_config():
@@ -500,6 +558,29 @@ def test_boolean_config_number_exits_2_with_json_error(tmp_path, capsys, base, f
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "boolean" in err["message"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["params", "initial_state"])
+@pytest.mark.parametrize("command", ["r0", "report", "simulate"])
+def test_non_finite_config_number_exits_2_with_json_error(tmp_path, capsys, command, field, value):
+    # Python's json reads NaN and Infinity; unchecked, report on "beta": NaN
+    # ends in a LinAlgError traceback with exit 1, and r0 in a NewtonError
+    doc = copy.deepcopy(BASE_SICA)
+    if field == "params":
+        doc["params"]["beta"] = value
+    else:
+        doc["initial_state"][1] = value
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    out_dir = tmp_path / "out"
+    if command == "simulate":
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "finite" in err["message"] and json.dumps(value) in err["message"]
+    assert not out_dir.exists()
 
 
 def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):

@@ -165,14 +165,14 @@ def test_build_log_volterra_zero_at_anchor():
 # ---------------------------------------------------------------- field derivative
 
 def test_field_derivative_quadratic_chain_rule():
-    model = ModelDefinition(1, lambda u: -2.0 * u, "decay2", ("x",))
+    model = ModelDefinition(1, lambda u: [-2.0 * v for v in u], "decay2", ("x",))
     fn = LyapunovFunctional(
         psi_parts=(),
         cross_quad_parts=(CrossQuadComponent(weight=1.0, indices=(0,), anchors=(0.0,)),),
     )
     # d/dt x^2/2 = x * (-2x) = -2 x^2
     state = np.array([3.0])
-    assert fn.rate_along([state], [model.rhs(state)])[0] == pytest.approx(-18.0)
+    assert fn.rate_along([state], [model.rhs(state.tolist())])[0] == pytest.approx(-18.0)
 
 
 def test_field_derivative_log_part_multiplier():
@@ -180,7 +180,7 @@ def test_field_derivative_log_part_multiplier():
     fn = build_log_volterra([(1.0, 2.0)])
     # multiplier is 1 - xbar/x
     state = np.array([4.0])
-    assert fn.rate_along([state], [model.rhs(state)])[0] == pytest.approx((1.0 - 0.5) * 5.0)
+    assert fn.rate_along([state], [model.rhs(state.tolist())])[0] == pytest.approx((1.0 - 0.5) * 5.0)
 
 
 def test_field_derivative_matches_finite_difference_of_value():
@@ -199,7 +199,7 @@ def test_field_derivative_matches_finite_difference_of_value():
     values = fn.values_along(traj.states)
     numeric = (values[1] - values[0]) / 1e-4
     state = np.array([2.0, 1.0])
-    assert fn.rate_along([state], [model.rhs(state)])[0] == pytest.approx(numeric, rel=1e-3)
+    assert fn.rate_along([state], [model.rhs(state.tolist())])[0] == pytest.approx(numeric, rel=1e-3)
 
 
 def chain_rule_case(name):
@@ -219,7 +219,7 @@ def test_rate_along_matches_pointwise_chain_rule(name):
     fn, model, anchor = chain_rule_case(name)
     rng = np.random.default_rng(29)
     states = anchor * np.exp(rng.uniform(-2.0, 2.0, size=(200, 4)))
-    rates = np.array([model.rhs(x) for x in states])
+    rates = np.array([model.rhs(x) for x in states.tolist()])
     expected = np.array([orbital_derivative(fn, model, x) for x in states])
     np.testing.assert_allclose(fn.rate_along(states, rates), expected, rtol=1e-12, atol=0.0)
 
@@ -296,7 +296,7 @@ def test_certificate_json_shape():
 
 
 def test_caputo_of_functional_matches_manual_composition():
-    model = ModelDefinition(1, lambda u: -u, "decay", ("x",))
+    model = ModelDefinition(1, lambda u: [-v for v in u], "decay", ("x",))
     grid = UniformGrid(0.0, 0.01, 100)
     traj = solve_ode_rk4(model, [2.0], grid)
     fn = build_log_volterra([(1.0, 1.0)])

@@ -80,7 +80,7 @@ def test_rhs_vanishes_at_disease_free_point_both_incidences():
     for incidence in ("standard", "mass_action"):
         p = baseline(incidence=incidence)
         np.testing.assert_allclose(
-            sica.sica_field(p)(sica.sica_disease_free(p)), 0.0, atol=1e-9
+            sica.sica_field(p)(sica.sica_disease_free(p).tolist()), 0.0, atol=1e-9
         )
 
 
@@ -97,8 +97,8 @@ def test_rhs_mass_action_hand_value():
 def test_rhs_standard_incidence_divides_by_total():
     p = baseline()
     state = np.array([100.0, 50.0, 30.0, 20.0])
-    mass = sica.sica_field(sica.baseline_params(incidence="mass_action"))(state)
-    std = sica.sica_field(p)(state)
+    mass = sica.sica_field(sica.baseline_params(incidence="mass_action"))(state.tolist())
+    std = sica.sica_field(p)(state.tolist())
     # the two variants differ exactly by the 1/N factor in the transmission term
     inc_mass = p.beta * state[0] * state[1]
     inc_std = inc_mass / state.sum()
@@ -155,7 +155,7 @@ def test_endemic_structural_identities():
     assert eq[2] == pytest.approx(p.phi * eq[1] / p.c_exit_rate, rel=1e-12)
     assert eq[3] == pytest.approx(p.rho * eq[1] / p.a_exit_rate, rel=1e-12)
     scale = np.abs(eq).max()
-    assert np.abs(sica.sica_field(p)(eq)).max() <= 1e-9 * scale
+    assert np.abs(sica.sica_field(p)(eq.tolist())).max() <= 1e-9 * scale
 
 
 def test_endemic_mass_action_threshold_and_identity():
@@ -166,7 +166,7 @@ def test_endemic_mass_action_threshold_and_identity():
     eq = sica.sica_endemic(p)
     q = p.clearance_factor / (p.a_exit_rate * p.c_exit_rate)
     assert eq[0] == pytest.approx(q / p.beta, rel=1e-9)
-    assert np.abs(sica.sica_field(p)(eq)).max() <= 1e-9 * np.abs(eq).max()
+    assert np.abs(sica.sica_field(p)(eq.tolist())).max() <= 1e-9 * np.abs(eq).max()
 
 
 # ---------------------------------------------------------------- functionals
@@ -203,7 +203,7 @@ def test_v1_orbital_derivative_nonpositive():
     model = sica.sica_model(p)
     rng = np.random.default_rng(17)
     states = admissible_states(rng, eq, 300)
-    rates = [model.rhs(state) for state in states]
+    rates = [model.rhs(state.tolist()) for state in states]
     assert (v1.rate_along(states, rates) <= 1e-9).all()
 
 
@@ -226,7 +226,7 @@ def test_v0_orbital_derivative_nonpositive_below_threshold():
         frac = rng.dirichlet(np.ones(4))
         total = rng.uniform(0.4, 1.2) * s0
         states.append(np.maximum(frac * total, 1e-6))
-    rates = [model.rhs(state) for state in states]
+    rates = [model.rhs(state.tolist()) for state in states]
     assert (v0.rate_along(states, rates) <= 1e-9).all()
 
 

@@ -12,10 +12,10 @@ from fracstab import (
     UniformGrid,
     solve_fde_abm,
 )
-from fracstab.caputo import adams_tables, fft_size
-from fracstab.models import sica
+from fracstab.caputo import adams_tables
+from fracstab.models import sica, teiv
 from fracstab.solver import _BLOCK, _add_far_field
-from oracles import solve_fde_gl, solve_ode_rk4
+from oracles import per_column_far_field, solve_fde_abm_stepwise, solve_fde_gl, solve_ode_rk4
 
 # one-step Mittag-Leffler fact, frozen from an independent special-function
 # oracle: E_{1/2}(-1) = exp(1) * erfc(1)
@@ -28,7 +28,7 @@ def test_frozen_oracle_self_consistency():
 
 def decay_model():
     return ModelDefinition(
-        dimension=1, rhs=lambda u: -u, name="scalar_decay", state_labels=("u",)
+        dimension=1, rhs=lambda u: [-v for v in u], name="scalar_decay", state_labels=("u",)
     )
 
 
@@ -93,17 +93,17 @@ def direct_pece(model, order, x0, grid):
     ha = h ** alpha
     xs = np.empty((n + 1, len(x0)))
     fs = np.empty_like(xs)
-    xs[0], fs[0] = x0, model.rhs(x0)
+    xs[0], fs[0] = x0, model.rhs(x0.tolist())
     for k in range(1, n + 1):
         b = dp[k - 1::-1]
         a = np.concatenate([[start[k - 1]], d2q[k - 2::-1] if k > 1 else []])
         pred = x0 + (ha / alpha) * (b @ fs[:k]) / math.gamma(alpha)
         if not np.isfinite(pred).all():
             return xs[:k], k
-        xs[k] = x0 + (ha / math.gamma(alpha + 2.0)) * (a @ fs[:k] + model.rhs(pred))
+        xs[k] = x0 + (ha / math.gamma(alpha + 2.0)) * (a @ fs[:k] + model.rhs(pred.tolist()))
         if not np.isfinite(xs[k]).all():
             return xs[:k], k
-        fs[k] = model.rhs(xs[k])
+        fs[k] = model.rhs(xs[k].tolist())
     return xs, None
 
 
@@ -131,13 +131,16 @@ def test_abm_fast_history_matches_direct_sums(n, alpha):
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_abm_divergence_node_matches_direct_sums_past_a_block():
     # slow growth that blows up after the first far-field transfer at node 64
-    blow_up = ModelDefinition(1, lambda u: 0.02 * u ** 2, "quadratic_growth", ("u",))
+    blow_up = ModelDefinition(1, lambda u: [0.02 * v * v for v in u], "quadratic_growth", ("u",))
     order, grid, x0 = FractionalOrder(0.8), UniformGrid(0.0, 0.5, 400), np.array([1.0])
     _, node = direct_pece(blow_up, order, x0, grid)
     assert node is not None and node > 64
     with pytest.raises(DivergenceError) as err:
         solve_fde_abm(blow_up, order, x0, grid)
-    assert err.value.node == node
+    # the ndarray step loop stops at the same node
+    with pytest.raises(DivergenceError) as ref:
+        solve_fde_abm_stepwise(blow_up, order, x0, grid)
+    assert err.value.node == ref.value.node == node
 
 
 def solve_or_node(model, x0, grid):
@@ -152,7 +155,7 @@ def solve_or_node(model, x0, grid):
 @pytest.mark.parametrize("model,x0,grid,diverges", [
     (sica.sica_model(sica.baseline_params(0.866)),
      [596597.568, 74574.696, 37287.348, 37287.348], UniformGrid(0.0, 0.4, 700), False),
-    (ModelDefinition(1, lambda u: [0.02 * v * v for v in u.tolist()], "growth", ("u",)),
+    (ModelDefinition(1, lambda u: [0.02 * v * v for v in u], "growth", ("u",)),
      [1.0], UniformGrid(0.0, 0.5, 400), True),
 ], ids=["sica", "diverging_past_a_block"])
 def test_list_and_ndarray_rhs_give_the_same_solve(model, x0, grid, diverges):
@@ -166,21 +169,26 @@ def test_list_and_ndarray_rhs_give_the_same_solve(model, x0, grid, diverges):
         assert lists.shape == (grid.n_nodes, model.dimension) and np.array_equal(lists, arrays)
 
 
-def per_column_far_field(xs, fs, kernels, e):
-    """The far-field transfer one kernel and one column at a time: the
-    reference for the solver's transfer, which shares one source FFT."""
-    r = _BLOCK
-    while (e // r) % 2 == 0:
-        r *= 2
-    hi = min(e + r, xs.shape[0])
-    size = fft_size(r + hi - e - 1)
-    out = slice(r - 1, r - 1 + hi - e)
-    for acc, kernel in zip((xs, fs), kernels):
-        spectrum = np.fft.rfft(kernel[:size], size)
-        for c in range(xs.shape[1]):
-            product = np.fft.rfft(fs[e - r:e, c], size)
-            product *= spectrum
-            acc[e:hi, c] += np.fft.irfft(product, size)[out]
+FIG_INITIAL = [596597.568, 74574.696, 37287.348, 37287.348]
+TEIV_DEMO = teiv.TeivParams(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0, rho=0.05,
+                            gamma=0.3, k=10.0, beta=0.01, alpha1=0.01, alpha2=0.01,
+                            alpha3=0.001)
+
+
+@pytest.mark.parametrize("n", [777, 3000])
+@pytest.mark.parametrize("model,x0,h", [
+    (sica.sica_model(sica.baseline_params(0.866)), FIG_INITIAL, 0.4),
+    # beta = 1e-5 stays positive under mass action at h = 0.1
+    (sica.sica_model(sica.baseline_params(1e-5, "mass_action")), FIG_INITIAL, 0.1),
+    (teiv.teiv_model(TEIV_DEMO), [40.0, 1.0, 1.0, 5.0], 0.125),
+], ids=["sica_standard", "sica_mass_action", "teiv"])
+def test_block_loop_bit_identical_to_stepwise_ndarray_loop(model, x0, h, n):
+    # 777 and 3000 cross several far-field levels and end in a partial block
+    grid = UniformGrid(0.0, h, n)
+    for alpha in (0.5, 0.9, 1.0):
+        order = FractionalOrder(alpha)
+        ref = solve_fde_abm_stepwise(model, order, x0, grid).states
+        assert np.array_equal(solve_fde_abm(model, order, x0, grid).states, ref)
 
 
 @pytest.mark.parametrize("e,n_nodes", [(128, 1100), (512, 1100), (512, 701)],
@@ -189,20 +197,26 @@ def test_far_field_transfer_bit_identical_to_per_column_transfer(e, n_nodes):
     # e = 512 transfers r = 512 sources to [512, 1024): all of them with 1,100
     # nodes, and only the last 189 with 701, as at the end of a solve
     rng = np.random.default_rng(e + n_nodes)
-    xs, fs = rng.standard_normal((2, n_nodes, 4))
+    xs0, fs0 = rng.standard_normal((2, n_nodes, 4))
     kernels = rng.standard_normal((2, n_nodes - 1))
-    before = xs.copy()
-    ref_xs, ref_fs = xs.copy(), fs.copy()
+    ref_xs, ref_fs = xs0.copy(), fs0.copy()
     per_column_far_field(ref_xs, ref_fs, kernels, e)
-    _add_far_field(xs, fs, kernels, e)
-    assert (xs[e:min(2 * e, n_nodes)] != before[e:min(2 * e, n_nodes)]).all()
-    assert np.array_equal(xs, ref_xs) and np.array_equal(fs, ref_fs)
+    # the second transfer reads the kernel spectrum that the first one cached
+    spectra = {}
+    for transfer in range(2):
+        xs, fs = xs0.copy(), fs0.copy()
+        _add_far_field(xs, fs, kernels, e, spectra)
+        if transfer == 0:
+            (cached,) = spectra.values()
+        assert (xs[e:min(2 * e, n_nodes)] != xs0[e:min(2 * e, n_nodes)]).all()
+        assert np.array_equal(xs, ref_xs) and np.array_equal(fs, ref_fs)
+    assert len(spectra) == 1 and next(iter(spectra.values())) is cached
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_reports_node():
     blow_up = ModelDefinition(
-        dimension=1, rhs=lambda u: u ** 3, name="cubic_growth", state_labels=("u",)
+        dimension=1, rhs=lambda u: [v * v * v for v in u], name="cubic_growth", state_labels=("u",)
     )
     grid = UniformGrid(0.0, 1.0, 50)
     with pytest.raises(DivergenceError) as err:
@@ -219,7 +233,7 @@ def test_nan_rhs_reports_its_node(call, node):
 
     def rhs(u):
         calls.append(None)
-        return np.full(2, np.nan) if len(calls) > call else -u
+        return np.full(2, np.nan) if len(calls) > call else [-v for v in u]
 
     model = ModelDefinition(2, rhs, "nan_from_a_node", ("x", "y"))
     with pytest.raises(DivergenceError) as err:
@@ -234,7 +248,7 @@ def test_rhs_never_sees_a_non_finite_state():
 
     def rhs(u):
         seen.append(u.copy())
-        return np.full(2, np.inf) if len(seen) > 2 * 70 else -u
+        return np.full(2, np.inf) if len(seen) > 2 * 70 else [-v for v in u]
 
     model = ModelDefinition(2, rhs, "inf_from_a_node", ("x", "y"))
     with pytest.raises(DivergenceError) as err:

@@ -75,7 +75,7 @@ def test_rhs_at_zero_incidence_denominator_is_non_finite_without_raising():
     # 1 + 0.5 V = 0 at the undershoot V = -2: the field must carry inf or
     # nan to the solver's guard, not raise or warn
     p = demo_params(alpha1=0.0, alpha2=0.5, alpha3=0.0)
-    out = teiv.teiv_field(p)(np.array([40.0, 1.0, 1.0, -2.0]))
+    out = teiv.teiv_field(p)([40.0, 1.0, 1.0, -2.0])
     assert not np.isfinite(out[:2]).any()
     assert np.isfinite(out[2:]).all()
 
@@ -91,7 +91,7 @@ def test_rhs_hand_value_unit_parameters():
 def test_rhs_vanishes_at_infection_free_point():
     p = demo_params()
     np.testing.assert_allclose(
-        teiv.teiv_field(p)(teiv.teiv_infection_free(p)), 0.0, atol=1e-12
+        teiv.teiv_field(p)(teiv.teiv_infection_free(p).tolist()), 0.0, atol=1e-12
     )
 
 
@@ -136,7 +136,7 @@ def test_chronic_equilibrium_positive_with_small_residual():
         chronic = eqs[1]
         assert (chronic[1:] > 0).all()
         scale = np.abs(chronic).max()
-        assert np.abs(teiv.teiv_field(p)(chronic)).max() <= 1e-9 * max(scale, 1.0)
+        assert np.abs(teiv.teiv_field(p)(chronic.tolist())).max() <= 1e-9 * max(scale, 1.0)
         found += 1
 
 
@@ -211,7 +211,7 @@ def test_lyapunov_orbital_derivative_nonpositive_at_chronic():
     model = teiv.teiv_model(p)
     rng = np.random.default_rng(31)
     states = [chronic * np.exp(rng.uniform(-1.0, 1.0, size=4)) for _ in range(200)]
-    rates = [model.rhs(state) for state in states]
+    rates = [model.rhs(state.tolist()) for state in states]
     assert (L.rate_along(states, rates) <= 1e-9).all()
 
 

@@ -39,12 +39,11 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 
-def _g_registry() -> dict:
-    return {
-        "identity": identity_g,
-        "sqrt": lambda: GFunction(math.sqrt, "sqrt"),
-        "log1p": lambda: GFunction(math.log1p, "log1p"),
-    }
+_G_REGISTRY = {
+    "identity": identity_g(),
+    "sqrt": GFunction(np.sqrt, "sqrt"),
+    "log1p": GFunction(np.log1p, "log1p"),
+}
 
 
 def _model_of(cfg: ExperimentConfig):
@@ -110,10 +109,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> int:
-    registry = _g_registry()
-    if g_label not in registry:
-        raise ConfigError(f"unknown g label {g_label!r}; choose from {sorted(registry)}")
-    g = registry[g_label]()
+    if g_label not in _G_REGISTRY:
+        raise ConfigError(f"unknown g label {g_label!r}; choose from {sorted(_G_REGISTRY)}")
+    g = _G_REGISTRY[g_label]
     if not 0.0 < xbar < math.inf:
         raise ConfigError(f"xbar must be finite and strictly positive, got {xbar!r}")
     order = FractionalOrder(order_value) if order_value is not None else cfg.orders[0]

@@ -31,19 +31,20 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(12)
 
 @dataclass(frozen=True)
 class GFunction:
-    """Scalar shape function g used inside psi components.
-
-    Admissibility (non-negative and strictly increasing on the positive
-    reals) is checked probabilistically at construction over 64 log-spaced
-    sample points in [1e-6, 1e6].
+    """Shape function g used inside psi components, numpy-style elementwise:
+    ``eval`` maps a float ndarray to one of its shape (``np.sqrt``, not
+    ``math.sqrt``).  One call on 64 log-spaced points in [1e-6, 1e6] checks
+    at construction that g is non-negative and strictly increasing there; a
+    float-only ``eval`` fails that call.  Only the shared ``identity_g()``
+    selects psi's closed log form, whatever another g's label.
     """
 
-    eval: Callable[[float], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     label: str
 
     def __post_init__(self):
         s = np.logspace(-6.0, 6.0, 64)
-        v = np.array([self.eval(x) for x in s], dtype=float)
+        v = np.asarray(self.eval(s), dtype=float)
         if not np.isfinite(v).all() or (v < 0).any():
             raise DomainError(f"g function {self.label!r} is not non-negative on R+")
         if not (np.diff(v) > 0).all():
@@ -52,13 +53,13 @@ class GFunction:
     def __call__(self, x):
         return self.eval(x)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.label == "identity"
+
+_IDENTITY = GFunction(lambda s: s, "identity")
 
 
 def identity_g() -> GFunction:
-    return GFunction(lambda s: s, "identity")
+    """The shared g(s) = s, the one g for which psi takes the closed log form."""
+    return _IDENTITY
 
 
 @dataclass(frozen=True)
@@ -173,15 +174,16 @@ def _require_positive(xs: np.ndarray) -> None:
 def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     """psi evaluated at every entry of ``xs`` (vectorized).
 
-    For a general g the integral is accumulated once over the sorted
-    sample points with a fixed 12-point Gauss-Legendre rule per segment,
-    which is exact to rounding for the smooth integrands used here.
+    The shared ``identity_g()`` gives the closed log form.  For any other g
+    the integral is accumulated once over the sorted sample points, with g
+    called once on all nodes of a fixed 12-point Gauss-Legendre rule per
+    segment, which is exact to rounding for the smooth integrands used here.
     """
     xs = np.asarray(xs, dtype=float)
     if xstar == 0.0:
         return xs.copy()
     _require_positive(xs)
-    if g.is_identity:
+    if g is _IDENTITY:
         return xs - xstar - xstar * np.log(xs / xstar)
 
     knots = np.unique(np.concatenate([xs, [xstar]]))
@@ -191,8 +193,7 @@ def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
     pts = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    vals = np.vectorize(g.eval, otypes=[float])(pts)
-    seg = half * ((gbar / vals) @ _GAUSS_WEIGHTS)
+    seg = half * ((gbar / g(pts)) @ _GAUSS_WEIGHTS)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     anchor_pos = np.searchsorted(knots, xstar)
     integral_at_knot = cum - cum[anchor_pos]
@@ -206,7 +207,7 @@ def psi_slope(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     if xstar == 0.0:
         return np.ones_like(xs)
     _require_positive(xs)
-    gx = np.vectorize(g.eval, otypes=[float])(xs)
+    gx = g(xs)
     if (gx == 0).any():
         raise DomainError("g vanished along the samples")
     return 1.0 - g(xstar) / gx
@@ -243,20 +244,21 @@ def lemma_certificate(
     lhs = l1_caputo(SampledSignal(x.grid, psi_vals), order).values
     rhs = psi_slope(g, xbar, x.values) * l1_caputo(x, order).values
 
-    gap = lhs[1:] - rhs[1:]
-    max_violation = float(gap.max())
-    passed = max_violation <= tolerance
-    violating = None if passed else int(np.argmax(gap > tolerance)) + 1
-    return Certificate("lemma_inequality", max_violation, tolerance, passed, violating, x.grid, order)
+    return _certificate("lemma_inequality", lhs[1:] - rhs[1:], tolerance, 1, x.grid, order)
 
 
 def decrescence_certificate(signal: SampledSignal, tolerance: float) -> Certificate:
     """Certify that every node of the signal lies at or below the tolerance."""
-    values = signal.values
-    max_violation = float(values.max())
+    return _certificate("decrescence", signal.values, tolerance, 0, signal.grid)
+
+
+def _certificate(kind, gap, tolerance, offset, grid, order=None) -> Certificate:
+    """The largest entry of ``gap``, whether it is at most ``tolerance``, and
+    the first entry above it, as a node number: its index plus ``offset``."""
+    max_violation = float(gap.max())
     passed = max_violation <= tolerance
-    violating = None if passed else int(np.argmax(values > tolerance))
-    return Certificate("decrescence", max_violation, tolerance, passed, violating, signal.grid)
+    violating = None if passed else int(np.argmax(gap > tolerance)) + offset
+    return Certificate(kind, max_violation, tolerance, passed, violating, grid, order)
 
 
 def build_log_volterra(parts: Sequence[tuple]) -> LyapunovFunctional:

@@ -60,10 +60,12 @@ class TeivParams:
 def teiv_incidence(p: TeivParams):
     """Saturated incidence (T, V) -> beta*T / (1 + alpha1*T + alpha2*V + alpha3*T*V).
 
-    The params are read once, here.  A zero denominator (reachable only
-    through an undershoot, T or V below 0) gives inf or nan, as numpy's
-    division does, for Python floats too: a solve through it then ends in
-    a divergence, not an exception.
+    Elementwise on float ndarrays, with the operations of the Python-float
+    case in its order, so it is also the T-part's array-valued g.  The
+    params are read once, here.  A zero denominator (reachable only through
+    an undershoot, T or V below 0) gives inf or nan, as numpy's division
+    does, for Python floats too: a solve through it then ends in a
+    divergence, not an exception.
     """
     beta, alpha1, alpha2, alpha3 = p.beta, p.alpha1, p.alpha2, p.alpha3
 
@@ -190,11 +192,6 @@ def teiv_r0_document(p: TeivParams) -> dict:
     }
 
 
-def _incidence_in_t(p: TeivParams, vbar: float) -> GFunction:
-    incidence = teiv_incidence(p)
-    return GFunction(lambda theta: incidence(theta, vbar), label=f"incidence_V={vbar:g}")
-
-
 def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     """Volterra-type functional anchored at an equilibrium.
 
@@ -211,17 +208,14 @@ def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     tbar, ebar, ibar, vbar = anchor
     xi = p.eclipse_exit_rate
     weights = (1.0, 1.0, xi / p.gamma, p.mu_I * xi / (p.k * p.gamma))
-    log_g = identity_g()
-    psi_parts = []
-    for idx, (w, xstar) in enumerate(zip(weights, anchor)):
-        if idx == 0 and xstar > 0:
-            g = _incidence_in_t(p, vbar)
-        else:
-            g = log_g
-        psi_parts.append(PsiComponent(weight=w, g=g, xstar=float(xstar), component_index=idx))
+    incidence = teiv_incidence(p)
+    t_g = GFunction(lambda theta: incidence(theta, vbar), f"incidence_V={vbar:g}")
+    gs = (t_g, identity_g(), identity_g(), identity_g())
+    psi_parts = tuple(PsiComponent(w, g, float(xstar), idx)
+                      for idx, (w, g, xstar) in enumerate(zip(weights, gs, anchor)))
 
     cross_w = p.rho * (1.0 + p.alpha2 * vbar) / (
         1.0 + p.alpha1 * tbar + p.alpha2 * vbar + p.alpha3 * tbar * vbar
     )
     cross = (CrossQuadComponent(weight=cross_w, indices=(0, 1), anchors=(float(tbar), float(ebar))),)
-    return LyapunovFunctional(psi_parts=tuple(psi_parts), cross_quad_parts=cross)
+    return LyapunovFunctional(psi_parts=psi_parts, cross_quad_parts=cross)

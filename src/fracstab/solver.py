@@ -61,7 +61,6 @@ class Trajectory:
     grid: UniformGrid
     states: np.ndarray
     order: FractionalOrder
-    model_name: str
 
     def component(self, index: int) -> np.ndarray:
         return self.states[:, index]
@@ -152,7 +151,7 @@ def solve_fde_abm(
             fs[k] = f(x)
         xs[first:end] = rows
 
-    return Trajectory(grid, xs, order, model.name)
+    return Trajectory(grid, xs, order)
 
 
 def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int,

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from fracstab import DivergenceError, DomainError, FractionalOrder, Trajectory
+from fracstab import DivergenceError, DomainError, FractionalOrder, Trajectory, identity_g
 from fracstab.caputo import adams_tables, fft_size
 from fracstab.lyapunov import _X_FLOOR
 from fracstab.solver import _BLOCK
@@ -33,12 +33,13 @@ def psi(g, xstar: float, x: float) -> float:
     """Anchored component x - xstar - integral_{xstar}^{x} g(xstar)/g(s) ds.
 
     Reduces to ``x`` exactly when xstar = 0; uses the closed log form for
-    the identity g and adaptive quadrature (1e-10 absolute) otherwise.
+    the shared ``identity_g()`` instance and adaptive quadrature (1e-10
+    absolute) for any other g.
     """
     if xstar == 0.0:
         return float(x)
     _check_positive_x(x, xstar)
-    if g.is_identity:
+    if g is identity_g():
         return x - xstar - xstar * math.log(x / xstar)
     gbar = g(xstar)
     integral, _ = quad(lambda s: gbar / g(s), xstar, x, epsabs=1e-10, epsrel=1e-10, limit=200)
@@ -119,7 +120,7 @@ def solve_fde_gl(model, order: FractionalOrder, x0, grid) -> Trajectory:
         conv = np.tensordot(w[1: k + 1], v[k - 1:: -1], axes=1)
         v[k] = ha * f(x0 + v[k - 1]) - conv
         _guard_finite(v[k], k, order.alpha)
-    return Trajectory(grid, x0 + v, order, model.name)
+    return Trajectory(grid, x0 + v, order)
 
 
 def solve_ode_rk4(model, x0, grid) -> Trajectory:
@@ -136,7 +137,7 @@ def solve_ode_rk4(model, x0, grid) -> Trajectory:
         k4 = f(x + h * k3)
         xs[k] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _guard_finite(xs[k], k, 1.0)
-    return Trajectory(grid, xs, FractionalOrder(1.0), model.name)
+    return Trajectory(grid, xs, FractionalOrder(1.0))
 
 
 def per_column_far_field(xs, fs, kernels, e):
@@ -194,4 +195,4 @@ def solve_fde_abm_stepwise(model, order: FractionalOrder, x0, grid) -> Trajector
             raise DivergenceError(k, alpha)
         xs[k] = x
         fs[k] = f(xs[k].tolist())
-    return Trajectory(grid, xs, order, model.name)
+    return Trajectory(grid, xs, order)

@@ -155,7 +155,7 @@ def test_criterion_07_lemma_certificate_suite():
     rng = np.random.default_rng(2024)
     grid = UniformGrid(0.0, 1e-3, 1000)
     t = grid.times()
-    gs = (identity_g(), GFunction(math.sqrt, "sqrt"), GFunction(math.log1p, "log1p"))
+    gs = (identity_g(), GFunction(np.sqrt, "sqrt"), GFunction(np.log1p, "log1p"))
     total = failed = 0
     for _ in range(100):
         base = rng.uniform(1.0, 5.0)

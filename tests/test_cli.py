@@ -478,7 +478,7 @@ def hand_built(states, target, h=0.5, alpha=0.9):
     """A trajectory through given states, a log-Volterra functional at ``target``,
     and their ``certify_order``."""
     states = np.asarray(states, dtype=float)
-    traj = Trajectory(UniformGrid(0.0, h, len(states) - 1), states, FractionalOrder(alpha), "hand")
+    traj = Trajectory(UniformGrid(0.0, h, len(states) - 1), states, FractionalOrder(alpha))
     functional = build_log_volterra([(1.0, x) for x in target])
     return traj, functional, certify_order(functional, traj, target)
 

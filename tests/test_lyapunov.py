@@ -23,12 +23,13 @@ from fracstab import (
     lemma_certificate,
     psi_profile,
 )
+from fracstab.lyapunov import psi_slope
 from fracstab.models import sica, teiv
 from oracles import functional_value, orbital_derivative, psi, solve_ode_rk4
 
 
 def sqrt_g():
-    return GFunction(math.sqrt, "sqrt")
+    return GFunction(np.sqrt, "sqrt")
 
 
 # ---------------------------------------------------------------- g admissibility
@@ -46,7 +47,13 @@ def test_g_rejects_sign_changing_function():
 def test_g_accepts_standard_shapes():
     identity_g()
     sqrt_g()
-    GFunction(math.log1p, "log1p")
+    GFunction(np.log1p, "log1p")
+
+
+def test_g_rejects_a_scalar_only_function_at_construction():
+    # g is called on whole arrays; math.sqrt takes one float
+    with pytest.raises(TypeError):
+        GFunction(math.sqrt, "sqrt")
 
 
 # ---------------------------------------------------------------- psi values
@@ -71,11 +78,15 @@ def test_psi_vanishes_at_anchor_and_is_positive_elsewhere():
 
 def test_psi_sqrt_g_matches_hand_integral():
     # for g(s) = sqrt(s) the integral is elementary:
-    # psi(x) = (sqrt(x) - sqrt(xbar))^2
+    # psi(x) = (sqrt(x) - sqrt(xbar))^2.  The closed log form belongs to the
+    # identity_g() instance alone, not to the label "identity".
     xbar = 4.0
-    for x in (0.5, 2.0, 4.0, 9.0):
-        expected = (math.sqrt(x) - math.sqrt(xbar)) ** 2
-        assert psi(sqrt_g(), xbar, x) == pytest.approx(expected, abs=1e-9)
+    xs = np.array([0.5, 2.0, 4.0, 9.0])
+    for g in (sqrt_g(), GFunction(np.sqrt, "identity")):
+        expected = (np.sqrt(xs) - math.sqrt(xbar)) ** 2
+        for x, e in zip(xs, expected):
+            assert psi(g, xbar, x) == pytest.approx(e, abs=1e-9)
+        np.testing.assert_allclose(psi_profile(g, xbar, xs), expected, rtol=0, atol=1e-9)
 
 
 def test_psi_invariant_under_g_scaling():
@@ -95,10 +106,25 @@ def test_psi_domain_guard():
 def test_psi_profile_matches_scalar_psi():
     rng = np.random.default_rng(42)
     xs = rng.uniform(0.1, 20.0, size=60)
-    for g in (identity_g(), sqrt_g(), GFunction(math.log1p, "log1p")):
+    for g in (identity_g(), sqrt_g(), GFunction(np.log1p, "log1p")):
         prof = psi_profile(g, 3.0, xs)
         pointwise = np.array([psi(g, 3.0, x) for x in xs])
         np.testing.assert_allclose(prof, pointwise, atol=1e-9)
+
+
+def test_psi_profile_and_slope_call_g_on_whole_arrays():
+    calls = []
+
+    def counting_sqrt(s):
+        calls.append(np.shape(s))
+        return np.sqrt(s)
+
+    g = GFunction(counting_sqrt, "counting_sqrt")
+    xs = np.random.default_rng(5).uniform(0.1, 20.0, size=1000)
+    for fn in (psi_profile, psi_slope):
+        calls.clear()
+        fn(g, 3.0, xs)
+        assert len(calls) <= 2, (fn.__name__, calls)
 
 
 def test_psi_profile_rejects_non_positive_samples():

@@ -269,4 +269,3 @@ def test_trajectory_component_access():
     traj = solve_ode_rk4(model, [1.0, 2.0], grid)
     assert traj.component(0).shape == (11,)
     assert traj.component(1)[0] == 2.0
-    assert traj.model_name == "diag"

@@ -193,6 +193,17 @@ def test_lyapunov_mass_action_limit_matches_log_closed_form():
         assert with_t - base == pytest.approx(expected_t_part + cross, rel=1e-8)
 
 
+def test_incidence_on_arrays_matches_per_float_calls():
+    # the T-part's g evaluates the incidence on whole arrays of T
+    rng = np.random.default_rng(19)
+    for p in [demo_params()] + [random_params(rng) for _ in range(20)]:
+        incidence = teiv.teiv_incidence(p)
+        ts = np.logspace(-6.0, 6.0, 64) * rng.uniform(0.5, 2.0)
+        vbar = rng.uniform(0.1, 100.0)
+        per_float = np.array([incidence(t, vbar) for t in ts.tolist()])
+        assert np.array_equal(incidence(ts, vbar), per_float), p
+
+
 def test_t_part_psi_invariant_under_incidence_scaling():
     # psi depends on the shape function only through the ratio g(anchor)/g(s)
     p = demo_params()

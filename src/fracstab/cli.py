@@ -162,7 +162,7 @@ class OrderEvidence:
 
 def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> OrderEvidence:
     """The functional's L1 Caputo derivative along ``traj``, certified non-positive
-    up to ``default_tolerance`` at scale max(max |V|, 1), and the distances to ``target``.
+    up to ``default_tolerance`` of V, and the distances to ``target``.
 
     ``caputo_of_functional`` and ``decrescence_certificate`` are looked up
     here, on this module, so that a wrapper installed on either is the one
@@ -170,8 +170,7 @@ def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> O
     """
     V = functional.values_along(traj.states)
     dV = caputo_of_functional(V, traj)
-    scale = max(float(np.abs(V).max()), 1.0)
-    cert = decrescence_certificate(dV, default_tolerance(traj.grid, traj.order, scale))
+    cert = decrescence_certificate(dV, default_tolerance(traj.grid, traj.order, V))
     dists = np.abs(traj.states - target).max(axis=1) / max(float(np.abs(target).max()), 1.0)
     return OrderEvidence(traj, cert, dists)
 

@@ -219,13 +219,14 @@ def caputo_of_functional(values: np.ndarray, traj: Trajectory) -> SampledSignal:
     return l1_caputo(SampledSignal(traj.grid, values), traj.order)
 
 
-def default_tolerance(grid: UniformGrid, order: FractionalOrder, scale: float) -> float:
-    """Default certificate tolerance 10 h^(2-alpha) * scale.
+def default_tolerance(grid: UniformGrid, order: FractionalOrder, values: np.ndarray) -> float:
+    """Default certificate tolerance 10 h^(2-alpha) * scale for a certificate
+    on the samples ``values``, with scale = max(max |values|, 1).
 
     The L1 scheme carries O(h^(2-alpha)) truncation error, so violations
     below this level are attributable to discretization alone.
     """
-    return 10.0 * grid.h ** (2.0 - order.alpha) * scale
+    return 10.0 * grid.h ** (2.0 - order.alpha) * max(float(np.abs(values).max()), 1.0)
 
 
 def lemma_certificate(
@@ -238,7 +239,7 @@ def lemma_certificate(
     """
     if not 0.0 < xbar < np.inf:
         raise DomainError(f"xbar must be finite and strictly positive, got {xbar!r}")
-    tolerance = default_tolerance(x.grid, order, float(np.abs(x.values).max()))
+    tolerance = default_tolerance(x.grid, order, x.values)
 
     psi_vals = psi_profile(g, xbar, x.values)
     lhs = l1_caputo(SampledSignal(x.grid, psi_vals), order).values

@@ -3,11 +3,13 @@
 Compartments: uninfected target cells T, eclipse-stage infected cells E,
 productive infected cells I, free virus V.  Infection follows the saturated
 incidence f(T, V) = beta*T / (1 + alpha1*T + alpha2*V + alpha3*T*V); cells
-in the eclipse stage revert to the uninfected pool at rate rho.
+in the eclipse stage revert to the uninfected pool at rate rho.  The
+chronic equilibrium is a quadratic's root in the infected level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +65,9 @@ def teiv_incidence(p: TeivParams):
     Elementwise on float ndarrays, with the operations of the Python-float
     case in its order, so it is also the T-part's array-valued g.  The
     params are read once, here.  A zero denominator (reachable only through
-    an undershoot, T or V below 0) gives inf or nan, as numpy's division
-    does, for Python floats too: a solve through it then ends in a
-    divergence, not an exception.
+    an undershoot, T or V below 0) gives nan for Python floats (and inf or
+    nan, as numpy's division does, for arrays): a solve through it then
+    ends in a divergence, not an exception.
     """
     beta, alpha1, alpha2, alpha3 = p.beta, p.alpha1, p.alpha2, p.alpha3
 
@@ -75,8 +77,7 @@ def teiv_incidence(p: TeivParams):
         try:
             return num / den
         except ZeroDivisionError:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return float(np.float64(num) / den)
+            return math.nan
 
     return incidence
 
@@ -131,34 +132,24 @@ def teiv_infection_free(p: TeivParams) -> np.ndarray:
 
 
 def _chronic_seed(p: TeivParams) -> np.ndarray:
-    # Reduce the stationarity system to one equation in T.  Adding the T and
-    # E equations gives E = (lambda - mu_T T)/(mu_E + gamma); the I and V
-    # equations give I = gamma E/mu_I and V = k I/mu_V; the E equation then
-    # requires f(T, V(T)) * k gamma/(mu_I mu_V) = rho + mu_E + gamma.
-    t0 = p.lambda_ / p.mu_T
+    """Chronic equilibrium for R0 > 1, in closed form.  With u = lambda -
+    mu_T T = (mu_E + gamma) E (the T and E equations summed) and V = c u,
+    the E equation is a u^2 + b u + q = 0 with a >= 0, b < 0 and
+    q = xi (mu_T + alpha1 lambda)(R0 - 1) > 0.  Its root in (0, lambda) is
+    the smaller one, 2q/(sqrt(b^2 - 4aq) - b), a form with no cancellation.
+    """
+    xi, lambda_, mu_T = p.eclipse_exit_rate, p.lambda_, p.mu_T
     amp = p.k * p.gamma / (p.mu_I * p.mu_V)
-    incidence = teiv_incidence(p)
-
-    def resid(T):
-        E = (p.lambda_ - p.mu_T * T) / (p.mu_E + p.gamma)
-        V = amp * E
-        return incidence(T, V) * amp - p.eclipse_exit_rate
-
-    lo = 1e-12 * t0
-    if resid(lo) >= 0 or resid(t0) <= 0:
-        raise NewtonError("chronic-equilibrium bracket failed")
-    # resid rises with T on the bracket: bisect to the same 1e-12 t0 width
-    hi = t0
-    while hi - lo > 1e-12 * t0:
-        mid = 0.5 * (lo + hi)
-        if resid(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    T = 0.5 * (lo + hi)
-    E = (p.lambda_ - p.mu_T * T) / (p.mu_E + p.gamma)
+    c = amp / (p.mu_E + p.gamma)
+    a = xi * p.alpha3 * c
+    b = xi * (p.alpha1 - p.alpha2 * c * mu_T - p.alpha3 * c * lambda_) - p.beta * amp
+    q = xi * (mu_T + p.alpha1 * lambda_) * (teiv_r0(p) - 1.0)
+    u = 2.0 * q / (math.sqrt(b * b - 4.0 * a * q) - b)
+    if not 0.0 < u < lambda_:
+        raise NewtonError(f"chronic-equilibrium seed u = {u!r} outside (0, {lambda_!r})")
+    E = u / (p.mu_E + p.gamma)
     I = p.gamma * E / p.mu_I
-    return np.array([T, E, I, p.k * I / p.mu_V])
+    return np.array([(lambda_ - u) / mu_T, E, I, p.k * I / p.mu_V])
 
 
 def teiv_equilibria(p: TeivParams) -> list:

@@ -4,21 +4,26 @@ None of these runs in the program.  Each computes the same quantity as a
 package function by a different method: adaptive quadrature in place of
 the fixed Gauss-Legendre profile, pointwise sums in place of the
 vectorized functional and its chain rule, direct Grunwald-Letnikov or
-Runge-Kutta sums in place of the block-FFT Adams solver, and that solver's
+Runge-Kutta sums in place of the block-FFT Adams solver, that solver's
 one-row-at-a-time ndarray form with per-column far-field transforms in
-place of its list-valued block loop.
+place of its list-valued block loop, and bisection on the stationarity
+equation, in floats and in 60-digit decimals, in place of TEIV's
+closed-form chronic equilibrium.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
 
 from fracstab import DivergenceError, DomainError, FractionalOrder, Trajectory, identity_g
 from fracstab.caputo import adams_tables, fft_size
+from fracstab.errors import NewtonError
 from fracstab.lyapunov import _X_FLOOR
+from fracstab.models.teiv import teiv_incidence
 from fracstab.solver import _BLOCK
 
 
@@ -196,3 +201,71 @@ def solve_fde_abm_stepwise(model, order: FractionalOrder, x0, grid) -> Trajector
         xs[k] = x
         fs[k] = f(xs[k].tolist())
     return Trajectory(grid, xs, order)
+
+
+def _teiv_reduced(p, T, incidence, num):
+    """E, V and the stationarity residual f(T, V) amp - xi at T, on the
+    chronic branch.  Adding the T and E equations gives
+    E = (lambda - mu_T T)/(mu_E + gamma); the I and V equations give
+    V = amp E with amp = k gamma/(mu_I mu_V); the E equation then requires
+    f(T, V) amp = xi = rho + mu_E + gamma.  ``num`` converts a float param
+    to the arithmetic used (``float`` or ``Decimal``), which ``T`` and
+    ``incidence`` use too."""
+    lambda_, mu_T, mu_E, mu_I, mu_V, rho, gamma, k = (
+        num(x) for x in (p.lambda_, p.mu_T, p.mu_E, p.mu_I, p.mu_V, p.rho, p.gamma, p.k))
+    amp = k * gamma / (mu_I * mu_V)
+    E = (lambda_ - mu_T * T) / (mu_E + gamma)
+    V = amp * E
+    return E, V, incidence(T, V) * amp - (rho + mu_E + gamma)
+
+
+def teiv_chronic_seed_bisect(p) -> np.ndarray:
+    """TEIV's chronic equilibrium for R0 > 1 by bisection in T to a bracket
+    of width 1e-12 lambda/mu_T: the residual of the stationarity equation
+    rises with T on (1e-12 lambda/mu_T, lambda/mu_T)."""
+    t0 = p.lambda_ / p.mu_T
+    incidence = teiv_incidence(p)
+
+    def resid(T):
+        return _teiv_reduced(p, T, incidence, float)[2]
+
+    lo = 1e-12 * t0
+    if resid(lo) >= 0 or resid(t0) <= 0:
+        raise NewtonError("chronic-equilibrium bracket failed")
+    hi = t0
+    while hi - lo > 1e-12 * t0:
+        mid = 0.5 * (lo + hi)
+        if resid(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    T = 0.5 * (lo + hi)
+    E = (p.lambda_ - p.mu_T * T) / (p.mu_E + p.gamma)
+    I = p.gamma * E / p.mu_I
+    return np.array([T, E, I, p.k * I / p.mu_V])
+
+
+def teiv_chronic_decimal(p, digits: int = 60) -> tuple:
+    """TEIV's chronic equilibrium (T, E, I, V) for R0 > 1 as Decimals: the
+    float params taken exactly, the stationarity equation in T bisected on
+    (0, lambda/mu_T) in ``digits``-digit arithmetic until the bracket is
+    below 10^-digits of its width."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        beta, alpha1, alpha2, alpha3 = (Decimal(x) for x in (p.beta, p.alpha1, p.alpha2, p.alpha3))
+
+        def incidence(T, V):
+            return beta * T / (1 + alpha1 * T + alpha2 * V + alpha3 * T * V)
+
+        lo, hi = Decimal(0), Decimal(p.lambda_) / Decimal(p.mu_T)
+        if _teiv_reduced(p, hi, incidence, Decimal)[2] <= 0:
+            raise NewtonError("no chronic equilibrium: R0 <= 1")
+        for _ in range(math.ceil(digits * math.log2(10)) + 4):
+            mid = (lo + hi) / 2
+            if _teiv_reduced(p, mid, incidence, Decimal)[2] < 0:
+                lo = mid
+            else:
+                hi = mid
+        T = (lo + hi) / 2
+        E, V, _ = _teiv_reduced(p, T, incidence, Decimal)
+        return T, E, Decimal(p.gamma) * E / Decimal(p.mu_I), V

@@ -490,9 +490,9 @@ def test_certify_order_ball_entry_is_the_first_node_within_5pct():
     assert evidence.distances.tolist() == [0.5, 0.1, 0.05, 0.025, 0.075]
     assert evidence.ball_entry_time == 1.0
     assert evidence.final_relative_distance == 0.075
-    scale = float(functional.values_along(traj.states).max())
-    assert scale > 1.0
-    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, scale)
+    V = functional.values_along(traj.states)
+    assert V.max() > 1.0
+    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, V)
     doc = evidence.to_json_dict()
     assert list(doc) == ["order", "decrescence", "final_relative_distance", "ball_entry_time_5pct"]
     assert doc["order"] == 0.9 and doc["ball_entry_time_5pct"] == 1.0
@@ -512,12 +512,24 @@ def test_certify_order_small_target_is_normalised_by_one():
     traj, functional, evidence = hand_built([[0.5, 0.375], [0.5, 0.25]], [0.5, 0.25])
     assert evidence.distances.tolist() == [0.125, 0.0]
     assert evidence.ball_entry_time == traj.grid.h
-    assert float(functional.values_along(traj.states).max()) < 1.0  # so the tolerance scale is 1
-    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, 1.0)
+    V = functional.values_along(traj.states)
+    assert V.max() < 1.0  # so the tolerance scale is 1
+    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, V)
+    assert evidence.certificate.tolerance == 10.0 * traj.grid.h ** (2.0 - traj.order.alpha)
 
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_non_utf8_config_exits_2_with_json_error(tmp_path, capsys):
+    # exit 1 is "a certificate fails": an unreadable config is not that
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"model": "sica\xff"}')
+    assert main(["report", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "not UTF-8: byte 15" in err["message"]
 
 
 @pytest.mark.parametrize("field,value", [

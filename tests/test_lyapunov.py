@@ -294,9 +294,13 @@ def test_lemma_certificate_domain_errors():
 
 
 def test_default_tolerance_formula():
+    # scale max(max |values|, 1): the largest magnitude, here a negative
+    # sample, or 1 when every sample is smaller
     grid = UniformGrid(0.0, 0.1, 10)
-    tol = default_tolerance(grid, FractionalOrder(0.5), 2.0)
+    tol = default_tolerance(grid, FractionalOrder(0.5), np.array([1.5, -2.0, 0.5]))
     assert tol == pytest.approx(10.0 * 0.1 ** 1.5 * 2.0)
+    small = default_tolerance(grid, FractionalOrder(0.5), np.array([0.25, -0.5, 0.0]))
+    assert small == pytest.approx(10.0 * 0.1 ** 1.5)
 
 
 def test_decrescence_certificate_pass_and_fail():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from fracstab import (
 )
 from fracstab.cli import certify_order
 from fracstab.models import MODELS, teiv
-from oracles import functional_value, psi
+from fracstab.newton import damped_newton
+from oracles import functional_value, psi, teiv_chronic_decimal, teiv_chronic_seed_bisect
 
 
 def demo_params(**overrides):
@@ -125,10 +128,16 @@ def test_equilibria_single_below_threshold():
 
 
 def test_chronic_equilibrium_positive_with_small_residual():
+    # every third set has alpha3 = 0 (a linear stationarity equation) and
+    # every third all alphas = 0 (mass action)
     rng = np.random.default_rng(5)
     found = 0
-    while found < 10:
+    while found < 210:
         p = random_params(rng)
+        if found % 3 == 1:
+            p = dataclasses.replace(p, alpha3=0.0)
+        elif found % 3 == 2:
+            p = dataclasses.replace(p, alpha1=0.0, alpha2=0.0, alpha3=0.0)
         if teiv.teiv_r0(p) <= 1.0:
             continue
         eqs = teiv.teiv_equilibria(p)
@@ -137,7 +146,49 @@ def test_chronic_equilibrium_positive_with_small_residual():
         assert (chronic[1:] > 0).all()
         scale = np.abs(chronic).max()
         assert np.abs(teiv.teiv_field(p)(chronic.tolist())).max() <= 1e-9 * max(scale, 1.0)
+        # the closed-form seed is a root to rounding, so it is as close to
+        # the bisection seed as that seed's 1e-12 bracket allows
+        seed, bisected = teiv._chronic_seed(p), teiv_chronic_seed_bisect(p)
+        assert np.abs(teiv.teiv_field(p)(seed.tolist())).max() <= 1e-14 * scale, p
+        assert np.abs(seed - bisected).max() <= 1e-11 * scale, p
+        polished = damped_newton(teiv.teiv_field(p), bisected)
+        assert np.abs(chronic - polished).max() <= 1e-14 * scale, p
         found += 1
+
+
+def _ulps(x, reference) -> list:
+    """Signed distance of each float of ``x`` from its Decimal reference, in
+    units in the last place of the float."""
+    return [float((Decimal(v) - r) / Decimal(float(np.spacing(v)))) for v, r in zip(x.tolist(), reference)]
+
+
+def test_chronic_equilibrium_of_the_demo_within_two_ulp_of_60_digits():
+    p = demo_params()
+    reference = teiv_chronic_decimal(p)
+    # the reference solves the whole stationarity system, not only the
+    # equation in T that it bisects
+    with localcontext() as ctx:
+        ctx.prec = 60
+        T, E, I, V = reference
+        lambda_, mu_T, mu_E, mu_I, mu_V, rho, gamma, k, beta, a1, a2, a3 = (
+            Decimal(getattr(p, f.name)) for f in dataclasses.fields(p))
+        fv = beta * T * V / (1 + a1 * T + a2 * V + a3 * T * V)
+        field = (lambda_ - mu_T * T - fv + rho * E, fv - (rho + mu_E + gamma) * E,
+                 gamma * E - mu_I * I, k * I - mu_V * V)
+        assert max(abs(r) for r in field) < Decimal("1e-50")
+    assert max(map(abs, _ulps(teiv.teiv_chronic(p), reference))) <= 2.0
+
+
+@pytest.mark.parametrize("alpha3", [0.001, 0.0])
+def test_chronic_equilibrium_near_threshold_matches_60_digits(alpha3):
+    # at R0 = 1 + 1e-9 the infected levels are ~1e-9 of T, so a seed read
+    # off a bracket of width 1e-12 lambda/mu_T in T is off by up to 4e-4 in E
+    base = demo_params(alpha3=alpha3)
+    p = demo_params(alpha3=alpha3, beta=base.beta / teiv.teiv_r0(base) * (1.0 + 1e-9))
+    assert teiv.teiv_r0(p) - 1.0 == pytest.approx(1e-9, rel=1e-6)
+    E = Decimal(float(teiv.teiv_chronic(p)[1]))
+    reference = teiv_chronic_decimal(p)[1]
+    assert abs(E - reference) <= Decimal("1e-6") * reference
 
 
 # ---------------------------------------------------------------- Lyapunov functional

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all certificates pass, 1 a certificate fails,
 2 any other package error (configuration, domain, grid, equilibrium or
-Newton failure; the JSON error goes to stderr), 3 solver divergence.
+Newton failure; the JSON error goes to stderr), 3 a solve that diverges or
+undershoots, with {"error": "divergence" | "undershoot", "node": k, "order": a} on stdout.
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ def _grid_of(cfg: ExperimentConfig) -> UniformGrid:
     return UniformGrid(t0=0.0, h=cfg.t_end / cfg.steps, n_steps=cfg.steps)
 
 
+def _solve(cfg: ExperimentConfig, model, order: FractionalOrder) -> Trajectory:
+    """``solve_fde_abm``, looked up here, on the config's grid and initial state; an "undershoot"
+    ``DivergenceError`` at the first node k where some x_ik < -1e-8 max(max_{j<=k} |x_ij|, 1)."""
+    traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), _grid_of(cfg))
+    floor = -1e-8 * np.maximum(np.maximum.accumulate(np.abs(traj.states)), 1.0)
+    below = np.flatnonzero((traj.states < floor).any(axis=1))
+    if below.size:
+        raise DivergenceError(int(below[0]), order.alpha, "undershoot")
+    return traj
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     print(text)
@@ -70,15 +82,14 @@ def cmd_r0(cfg: ExperimentConfig, out_path: str | None) -> int:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     model = _model_of(cfg)
-    grid = _grid_of(cfg)
-    times = grid.times()
+    times = _grid_of(cfg).times()
     spec, p = cfg.spec, cfg.params
     written = []
     try:
         functionals = {k: spec.functional_at(p, spec.anchor(k, p)) for k in cfg.functionals}
         trajectories = {}
         for order in cfg.orders:
-            traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
+            traj = _solve(cfg, model, order)
             trajectories[order.alpha] = traj
             header = ["t"] + list(model.state_labels)
             columns = [times] + [traj.component(i) for i in range(model.dimension)]
@@ -122,9 +133,8 @@ def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> i
             f"unknown coordinate {coordinate!r}; choose from {model.state_labels}"
         )
     idx = model.state_labels.index(coordinate)
-    grid = _grid_of(cfg)
-    traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
-    cert = lemma_certificate(SampledSignal(grid, traj.component(idx)), g, xbar, order)
+    traj = _solve(cfg, model, order)
+    cert = lemma_certificate(SampledSignal(traj.grid, traj.component(idx)), g, xbar, order)
     _emit(cert.to_json_dict(), out_path)
     return EXIT_PASS if cert.passed else EXIT_CERT_FAIL
 
@@ -177,7 +187,6 @@ def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> O
 
 def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
     model = _model_of(cfg)
-    grid = _grid_of(cfg)
     spec, p = cfg.spec, cfg.params
 
     r0 = spec.r0(p)
@@ -190,7 +199,7 @@ def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
     per_order = []
     all_certified = True
     for order in cfg.orders:
-        traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), grid)
+        traj = _solve(cfg, model, order)
         evidence = certify_order(functional, traj, target)
         passed = evidence.certificate.passed
         if not consistent:
@@ -246,7 +255,7 @@ def main(argv=None) -> int:
             return cmd_verify_lemma(cfg, args.coordinate, args.g, args.xbar, args.order, args.out)
         return cmd_report(cfg, args.out)
     except DivergenceError as exc:
-        print(json.dumps({"error": "divergence", "node": exc.node, "order": exc.order}))
+        print(json.dumps({"error": exc.kind, "node": exc.node, "order": exc.order}))
         return EXIT_DIVERGENCE
     except FracstabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

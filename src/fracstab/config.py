@@ -40,7 +40,7 @@ class ExperimentConfig:
     model: str                # a key of MODELS
     params: object            # that model's params dataclass
     orders: tuple             # of FractionalOrder
-    initial_state: tuple      # 4 floats
+    initial_state: tuple      # one float per state component of the model
     t_end: float
     steps: int
     functionals: tuple = ()   # functional kinds of the model
@@ -53,8 +53,9 @@ class ExperimentConfig:
             raise ConfigError(f"steps must be >= 10, got {self.steps}")
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if len(self.initial_state) != 4:
-            raise ConfigError("initial_state must have 4 components")
+        dimension = spec.model(self.params).dimension
+        if len(self.initial_state) != dimension:
+            raise ConfigError(f"initial_state must have {dimension} components")
         for f in self.functionals:
             if f not in spec.functionals:
                 raise ConfigError(f"model {self.model!r} has no functional {f!r}")

@@ -18,15 +18,15 @@ class ContractError(FracstabError, ValueError):
 
 
 class DivergenceError(FracstabError, RuntimeError):
-    """A solver produced a non-finite state.
+    """A solve produced a non-finite state (``kind`` "divergence") or, as the
+    CLI checks, a component below zero beyond rounding ("undershoot").
 
     Carries the index of the first failing node and the order of the solve.
     """
 
-    def __init__(self, node: int, order: float):
-        self.node = node
-        self.order = order
-        super().__init__(f"non-finite state at node {node} (order {order:g})")
+    def __init__(self, node: int, order: float, kind: str = "divergence"):
+        self.node, self.order, self.kind = node, order, kind
+        super().__init__(f"{kind} at node {node} (order {order:g})")
 
 
 class NewtonError(FracstabError, RuntimeError):

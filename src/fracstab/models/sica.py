@@ -99,7 +99,7 @@ def sica_field(p: SicaParams):
 
 def sica_model(p: SicaParams) -> ModelDefinition:
     return ModelDefinition(
-        dimension=4,
+        dimension=len(STATE_LABELS),
         rhs=sica_field(p),
         name=f"sica_{p.incidence}",
         state_labels=STATE_LABELS,
@@ -176,7 +176,7 @@ def sica_v1(p: SicaParams, anchor) -> LyapunovFunctional:
     degenerates to a linear term, so at the disease-free point it is V0.
     Raises ``ContractError`` for an anchor that is not an equilibrium.
     """
-    anchor = require_equilibrium(sica_field(p), anchor, 4)
+    anchor = require_equilibrium(sica_field(p), anchor, len(STATE_LABELS))
     weights = (1.0, 1.0, p.omega / p.c_exit_rate, p.alpha_t / p.a_exit_rate)
     return build_log_volterra(list(zip(weights, anchor)))
 

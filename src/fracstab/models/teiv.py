@@ -22,7 +22,7 @@ from ..lyapunov import (
     PsiComponent,
     identity_g,
 )
-from ..newton import damped_newton, require_equilibrium
+from ..newton import accept_root, damped_newton, require_equilibrium
 from ..solver import ModelDefinition
 
 STATE_LABELS = ("T", "E", "I", "V")
@@ -111,7 +111,7 @@ def teiv_field(p: TeivParams):
 
 def teiv_model(p: TeivParams) -> ModelDefinition:
     return ModelDefinition(
-        dimension=4,
+        dimension=len(STATE_LABELS),
         rhs=teiv_field(p),
         name="teiv",
         state_labels=STATE_LABELS,
@@ -156,12 +156,19 @@ def teiv_equilibria(p: TeivParams) -> list:
     """All equilibria: always the infection-free point, plus the chronic
     equilibrium (positive E, I, V) when the reproduction number exceeds 1.
 
-    Every returned equilibrium has residual at most 1e-9 relative to its
-    state scale.
+    Each has residual at most 1e-9 of its state scale.  The chronic one is
+    Newton's polish of the seed, or the seed where Newton fails or goes non-positive.
     """
     out = [teiv_infection_free(p)]
     if teiv_r0(p) > 1.0:
-        out.append(damped_newton(teiv_field(p), _chronic_seed(p)))
+        f, seed = teiv_field(p), _chronic_seed(p)
+        try:
+            x = damped_newton(f, seed)
+            if not (x > 0).all():
+                raise NewtonError(f"Newton left the positive orthant at {x}")
+        except NewtonError:
+            x = accept_root(f(seed.tolist()), seed)
+        out.append(x)
     return out
 
 
@@ -194,7 +201,7 @@ def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     Components whose anchor coordinate is zero degenerate to linear terms.
     Raises ``ContractError`` for an anchor that is not an equilibrium.
     """
-    anchor = require_equilibrium(teiv_field(p), anchor, 4)
+    anchor = require_equilibrium(teiv_field(p), anchor, len(STATE_LABELS))
 
     tbar, ebar, ibar, vbar = anchor
     xi = p.eclipse_exit_rate

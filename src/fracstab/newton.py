@@ -64,11 +64,16 @@ def damped_newton(f: Callable, x0) -> np.ndarray:
         step = np.linalg.norm(lam * delta) / max(np.linalg.norm(x_new), 1.0)
         x, fx = x_new, fx_new
         if step < _STEP_TOL:
-            residual = np.abs(fx).max()
-            if residual > _RESIDUAL_TOL * max(np.abs(x).max(), 1.0):
-                raise NewtonError(f"residual {residual:.3g} too large at {x}")
-            return x
+            return accept_root(fx, x)
     raise NewtonError(f"no convergence after {_MAX_ITER} iterations")
+
+
+def accept_root(fx, x: np.ndarray) -> np.ndarray:
+    """``x`` if ``fx = f(x)`` has max |fx| <= 1e-9 max(max |x|, 1); else ``NewtonError``."""
+    residual = np.abs(fx).max()
+    if residual > _RESIDUAL_TOL * max(np.abs(x).max(), 1.0):
+        raise NewtonError(f"residual {residual:.3g} too large at {x}")
+    return x
 
 
 def require_equilibrium(f: Callable, anchor, dimension: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from fracstab import (
 from fracstab.cli import certify_order, main
 from fracstab.config import config_from_dict, load_config
 from fracstab.csvio import write_csv
-from fracstab.models import sica, teiv
+from fracstab.models import sica
 from fracstab.svgplot import plot_panels
 
 BASE_SICA = {
@@ -295,9 +295,9 @@ def diverging_mass_action_config():
     return doc
 
 
-def test_cmd_simulate_domain_error_removes_partial_outputs(tmp_path, capsys):
+def test_cmd_simulate_undershoot_removes_partial_outputs(tmp_path, capsys):
     # read as mass action with a small beta, order 0.6 solves and is written,
-    # then order 0.5 undershoots below zero and psi raises a DomainError
+    # then order 0.5 undershoots below zero at node 2
     doc = copy.deepcopy(BASE_SICA)
     doc["params"]["incidence"] = "mass_action"
     doc["params"]["beta"] = 1e-5
@@ -307,8 +307,8 @@ def test_cmd_simulate_domain_error_removes_partial_outputs(tmp_path, capsys):
     doc["functionals"] = ["v1"]
     out_dir = str(tmp_path / "out")
     code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "undershoot", "node": 2, "order": 0.5}
     assert os.listdir(out_dir) == []
 
 
@@ -350,6 +350,34 @@ def test_divergence_json_names_node_and_order(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().out) == {"error": "divergence", "node": 3, "order": 0.5}
 
 
+def fig1_config(**params):
+    with open(os.path.join(CONFIGS, "fig1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["params"].update(params)
+    return doc
+
+
+@pytest.mark.parametrize("command", ["report", "simulate", "verify-lemma"])
+def test_undershoot_json_names_node_and_order(tmp_path, capsys, command):
+    # fig1 read as mass action at a small beta: at order 0.5, I is -15,397 at node 2
+    doc = fig1_config(incidence="mass_action", beta=1e-5)
+    extra = {
+        "report": [],
+        "simulate": ["--out", str(tmp_path / "out")],
+        "verify-lemma": ["--coordinate", "S", "--xbar", "1.0", "--order", "0.5"],
+    }[command]
+    assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "undershoot", "node": 2, "order": 0.5}
+
+
+def test_undershoot_floor_scales_with_the_running_maximum(tmp_path, capsys):
+    # at h = 1.0 the order-0.5 solve first goes negative at node 7 and ends
+    # near 4.5e182: a floor scaled by the whole trajectory would wait to node 1911
+    doc = dict(fig1_config(), orders=[0.5], steps=2000)
+    assert main(["report", "--config", write_config(tmp_path, doc)]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "undershoot", "node": 7, "order": 0.5}
+
+
 def test_cmd_verify_lemma_pass(tmp_path, capsys):
     out_file = str(tmp_path / "cert.json")
     code = main([
@@ -387,7 +415,7 @@ def test_cmd_verify_lemma_rejects_bad_xbar_before_solving(tmp_path, capsys, monk
     assert solves == []
 
 
-def test_cmd_verify_lemma_non_positive_samples_exit_2(tmp_path, capsys):
+def test_cmd_verify_lemma_non_positive_samples_exit_3(tmp_path, capsys):
     # read as mass action with a small beta, I undershoots to -15,397 at node 2
     doc = copy.deepcopy(BASE_SICA)
     doc["params"]["incidence"] = "mass_action"
@@ -397,10 +425,8 @@ def test_cmd_verify_lemma_non_positive_samples_exit_2(tmp_path, capsys):
     doc["steps"] = 10
     code = main(["verify-lemma", "--config", write_config(tmp_path, doc),
                  "--coordinate", "I", "--xbar", "1.0"])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "DomainError"
-    assert "sample 2 is -15396." in err["message"]
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "undershoot", "node": 2, "order": 0.5}
 
 
 def test_cmd_report_disease_free_certified(tmp_path, capsys):
@@ -596,11 +622,15 @@ def test_non_finite_config_number_exits_2_with_json_error(tmp_path, capsys, comm
 
 
 def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):
+    # SICA's endemic point, which has no fallback; TEIV's chronic point falls
+    # back to its closed-form seed (tests/test_teiv.py)
     def failing_newton(*args, **kwargs):
         raise NewtonError("no convergence after 200 iterations")
 
-    monkeypatch.setattr(teiv, "damped_newton", failing_newton)
-    code = main(["report", "--config", write_config(tmp_path, BASE_TEIV)])
+    monkeypatch.setattr(sica, "damped_newton", failing_newton)
+    doc = copy.deepcopy(BASE_SICA)
+    doc["params"]["beta"] = 0.866
+    code = main(["report", "--config", write_config(tmp_path, doc)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "NewtonError", "message": "no convergence after 200 iterations"}

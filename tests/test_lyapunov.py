@@ -132,6 +132,12 @@ def test_psi_profile_rejects_non_positive_samples():
         psi_profile(identity_g(), 1.0, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DomainError, match=r"sample 2 is -3\.0"):
         psi_profile(sqrt_g(), 1.0, np.array([1.0, 2.0, -3.0]))
+    # the CLI stops a solve that undershoots first (exit 3); a signal that
+    # reaches the lemma with such a sample is still refused through psi
+    grid = UniformGrid(t0=0.0, h=0.4, n_steps=3)
+    signal = SampledSignal(grid, np.array([7.0, 3.0, -15396.74, 2.0]))
+    with pytest.raises(DomainError, match=r"sample 2 is -15396\.74"):
+        lemma_certificate(signal, identity_g(), 1.0, FractionalOrder(0.5))
 
 
 # ---------------------------------------------------------------- functional assembly

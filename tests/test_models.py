@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracstab import ConfigError
+from fracstab.cli import main
 from fracstab.config import ExperimentConfig, config_from_dict
 from fracstab.models import MODELS, sica, teiv
 
@@ -37,6 +38,19 @@ def test_params_codec_round_trip_and_strictness(name):
         config_from_dict(config_document(name, dict(params, betta=0.1)))
     with pytest.raises(ConfigError, match="beta"):
         config_from_dict(config_document(name, {k: v for k, v in params.items() if k != "beta"}))
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one_too_few", "one_too_many"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_initial_state_count_is_the_models_own(name, extra, tmp_path, capsys):
+    p = SAMPLE_PARAMS[name]
+    count = len(MODELS[name].model(p).state_labels)
+    doc = dict(config_document(name, dataclasses.asdict(p)), initial_state=[1.0] * (count + extra))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["r0", "--config", str(path)]) == 2
+    message = f"initial_state must have {count} components"
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
 
 
 def test_schema_enums_match_registry():

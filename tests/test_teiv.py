@@ -9,6 +9,7 @@ from fracstab import (
     ContractError,
     FractionalOrder,
     GFunction,
+    NewtonError,
     UniformGrid,
     solve_fde_abm,
 )
@@ -189,6 +190,42 @@ def test_chronic_equilibrium_near_threshold_matches_60_digits(alpha3):
     E = Decimal(float(teiv.teiv_chronic(p)[1]))
     reference = teiv_chronic_decimal(p)[1]
     assert abs(E - reference) <= Decimal("1e-6") * reference
+
+
+@pytest.mark.parametrize("alpha3", [0.001, 0.0])
+@pytest.mark.parametrize("eps", [2.3e-16, 4e-16, 1e-15, 1e-13])
+def test_chronic_equilibrium_an_ulp_above_threshold_is_positive(eps, alpha3):
+    # with R0 - 1 at one ULP, Newton from the seed stops at a singular
+    # Jacobian (eps = 2.3e-16) or steps to E = I = -5.2e-16 (eps = 4e-16);
+    # the positive closed-form seed, which meets the residual rule, stands in
+    base = demo_params(alpha3=alpha3)
+    p = demo_params(alpha3=alpha3, beta=base.beta / teiv.teiv_r0(base) * (1.0 + eps))
+    assert teiv.teiv_r0(p) > 1.0
+    x = teiv.teiv_chronic(p)
+    assert (x > 0).all()
+    assert np.abs(teiv.teiv_field(p)(x.tolist())).max() <= 1e-9 * max(x.max(), 1.0)
+
+
+def test_chronic_equilibrium_of_the_demo_is_newtons_point():
+    p = demo_params()
+    polished = damped_newton(teiv.teiv_field(p), teiv._chronic_seed(p))
+    assert np.array_equal(teiv.teiv_chronic(p), polished)
+    assert not np.array_equal(polished, teiv._chronic_seed(p))
+
+
+def test_chronic_seed_fallback_keeps_the_residual_rule(monkeypatch):
+    def failing_newton(f, x0):
+        raise NewtonError("singular Jacobian")
+
+    p = demo_params()
+    seed = teiv._chronic_seed(p)
+    monkeypatch.setattr(teiv, "damped_newton", failing_newton)
+    assert np.array_equal(teiv.teiv_chronic(p), seed)
+    monkeypatch.setattr(teiv, "damped_newton", lambda f, x0: -x0)
+    assert np.array_equal(teiv.teiv_chronic(p), seed)
+    monkeypatch.setattr(teiv, "_chronic_seed", lambda p: seed * 1.01)
+    with pytest.raises(NewtonError, match="residual"):
+        teiv.teiv_chronic(p)
 
 
 # ---------------------------------------------------------------- Lyapunov functional

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all certificates pass, 1 a certificate fails,
 2 any other package error (configuration, domain, grid, equilibrium or
-Newton failure; the JSON error goes to stderr), 3 a solve that diverges or
-undershoots, with {"error": "divergence" | "undershoot", "node": k, "order": a} on stdout.
+Newton failure) or an OS error on an output path (the JSON error goes to
+stderr), 3 a solve that diverges or undershoots, with
+{"error": "divergence" | "undershoot", "node": k, "order": a} on stdout.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ def _solve(cfg: ExperimentConfig, model, order: FractionalOrder) -> Trajectory:
 
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2)
-    print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def cmd_r0(cfg: ExperimentConfig, out_path: str | None) -> int:
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(json.dumps({"error": exc.kind, "node": exc.node, "order": exc.order}))
         return EXIT_DIVERGENCE
-    except FracstabError as exc:
+    except (FracstabError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
 

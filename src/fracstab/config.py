@@ -39,8 +39,8 @@ class ExperimentConfig:
 
     model: str                # a key of MODELS
     params: object            # that model's params dataclass
-    orders: tuple             # of FractionalOrder
-    initial_state: tuple      # one float per state component of the model
+    orders: tuple             # of FractionalOrder, distinct under the format "g"
+    initial_state: tuple      # one float >= 0 per state component of the model
     t_end: float
     steps: int
     functionals: tuple = ()   # functional kinds of the model
@@ -53,9 +53,16 @@ class ExperimentConfig:
             raise ConfigError(f"steps must be >= 10, got {self.steps}")
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        dimension = spec.model(self.params).dimension
-        if len(self.initial_state) != dimension:
-            raise ConfigError(f"initial_state must have {dimension} components")
+        names = [f"{o.alpha:g}" for o in self.orders]
+        clash = [o.alpha for o, n in zip(self.orders, names) if names.count(n) > 1]
+        if clash:
+            raise ConfigError(f"orders {clash} share a file name under the format 'g'")
+        labels = spec.model(self.params).state_labels
+        if len(self.initial_state) != len(labels):
+            raise ConfigError(f"initial_state must have {len(labels)} components")
+        negative = [label for label, x in zip(labels, self.initial_state) if x < 0]
+        if negative:
+            raise ConfigError(f"initial_state must be non-negative; {negative} below 0")
         for f in self.functionals:
             if f not in spec.functionals:
                 raise ConfigError(f"model {self.model!r} has no functional {f!r}")

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NewtonError, NoEndemicEquilibriumError
-from ..lyapunov import (
-    CrossQuadComponent,
-    GFunction,
-    LyapunovFunctional,
-    PsiComponent,
-    identity_g,
-)
+from ..lyapunov import CrossQuadComponent, LyapunovFunctional, build_log_volterra
 from ..newton import accept_root, damped_newton, require_equilibrium
 from ..solver import ModelDefinition
 
@@ -63,11 +57,11 @@ def teiv_incidence(p: TeivParams):
     """Saturated incidence (T, V) -> beta*T / (1 + alpha1*T + alpha2*V + alpha3*T*V).
 
     Elementwise on float ndarrays, with the operations of the Python-float
-    case in its order, so it is also the T-part's array-valued g.  The
-    params are read once, here.  A zero denominator (reachable only through
-    an undershoot, T or V below 0) gives nan for Python floats (and inf or
-    nan, as numpy's division does, for arrays): a solve through it then
-    ends in a divergence, not an exception.
+    case in its order, so at a fixed V it is also the paper's array-valued
+    g of psi's T-part.  The params are read once, here.  A zero denominator
+    (reachable only through an undershoot, T or V below 0) gives nan for
+    Python floats (and inf or nan, as numpy's division does, for arrays): a
+    solve through it then ends in a divergence, not an exception.
     """
     beta, alpha1, alpha2, alpha3 = p.beta, p.alpha1, p.alpha2, p.alpha3
 
@@ -191,29 +185,22 @@ def teiv_r0_document(p: TeivParams) -> dict:
 
 
 def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
-    """Volterra-type functional anchored at an equilibrium.
+    """Volterra-type functional anchored at an equilibrium (Tbar, Ebar, Ibar, Vbar).
 
-    Components: an anchored part on T whose shape function is the incidence
-    in T at the anchor's virus level; log parts on E, I, V with weights
-    1, (rho+mu_E+gamma)/gamma, mu_I(rho+mu_E+gamma)/(k gamma); and a
-    quadratic form on (T - Tbar + E - Ebar) weighted by
-    rho(1 + alpha2 Vbar)/(1 + alpha1 Tbar + alpha2 Vbar + alpha3 Tbar Vbar).
-    Components whose anchor coordinate is zero degenerate to linear terms.
+    The T-part's shape function is the incidence at the anchor's virus level,
+    g(s) = beta s / (c0 + c1 s) with c0 = 1 + alpha2 Vbar, c1 = alpha1 + alpha3 Vbar.
+    As g(Tbar)/g(s) = Tbar (c0/s + c1) / (c0 + c1 Tbar), its psi is closed:
+    psi_g(T) = w (T - Tbar - Tbar log(T/Tbar)) with w = c0 / (c0 + c1 Tbar).
+    So the functional is a log-Volterra sum with weights w, 1, xi/gamma and
+    mu_I xi/(k gamma), xi = rho + mu_E + gamma, plus the quadratic form
+    rho w/2 (T - Tbar + E - Ebar)^2.  Zero anchor coordinates give linear terms.
     Raises ``ContractError`` for an anchor that is not an equilibrium.
     """
     anchor = require_equilibrium(teiv_field(p), anchor, len(STATE_LABELS))
-
-    tbar, ebar, ibar, vbar = anchor
+    tbar, ebar, _, vbar = anchor
+    c0 = 1.0 + p.alpha2 * vbar
+    w = c0 / (c0 + (p.alpha1 + p.alpha3 * vbar) * tbar)
     xi = p.eclipse_exit_rate
-    weights = (1.0, 1.0, xi / p.gamma, p.mu_I * xi / (p.k * p.gamma))
-    incidence = teiv_incidence(p)
-    t_g = GFunction(lambda theta: incidence(theta, vbar), f"incidence_V={vbar:g}")
-    gs = (t_g, identity_g(), identity_g(), identity_g())
-    psi_parts = tuple(PsiComponent(w, g, float(xstar), idx)
-                      for idx, (w, g, xstar) in enumerate(zip(weights, gs, anchor)))
-
-    cross_w = p.rho * (1.0 + p.alpha2 * vbar) / (
-        1.0 + p.alpha1 * tbar + p.alpha2 * vbar + p.alpha3 * tbar * vbar
-    )
-    cross = (CrossQuadComponent(weight=cross_w, indices=(0, 1), anchors=(float(tbar), float(ebar))),)
-    return LyapunovFunctional(psi_parts=psi_parts, cross_quad_parts=cross)
+    weights = (w, 1.0, xi / p.gamma, p.mu_I * xi / (p.k * p.gamma))
+    cross = CrossQuadComponent(weight=p.rho * w, indices=(0, 1), anchors=(float(tbar), float(ebar)))
+    return LyapunovFunctional(build_log_volterra(list(zip(weights, anchor))).psi_parts, (cross,))

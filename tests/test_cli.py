@@ -96,6 +96,24 @@ def test_config_rejects_bad_steps_and_horizon():
             config_from_dict(doc)
 
 
+@pytest.mark.parametrize("orders", [[0.8, 0.8], [0.5, 0.5000001]])
+def test_config_rejects_orders_whose_file_names_collide(orders):
+    doc = dict(copy.deepcopy(BASE_TEIV), orders=orders)
+    with pytest.raises(ConfigError, match=rf"orders \[{orders[0]}, {orders[1]}\] share a file name"):
+        config_from_dict(doc)
+
+
+def test_negative_initial_state_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve_fde_abm ran")
+
+    monkeypatch.setattr("fracstab.cli.solve_fde_abm", no_solve)
+    doc = dict(copy.deepcopy(BASE_TEIV), initial_state=[40.0, -1.0, 1.0, 5.0])
+    assert main(["report", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": "initial_state must be non-negative; ['E'] below 0"}
+
+
 def test_config_rejects_model_functional_mismatch():
     doc = copy.deepcopy(BASE_SICA)
     doc["functionals"] = ["teiv_at_anchor"]
@@ -312,7 +330,7 @@ def test_cmd_simulate_undershoot_removes_partial_outputs(tmp_path, capsys):
     assert os.listdir(out_dir) == []
 
 
-def test_cmd_simulate_removes_a_half_written_file(tmp_path, monkeypatch):
+def test_cmd_simulate_removes_a_half_written_file(tmp_path, monkeypatch, capsys):
     def failing_plot(path, *args):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("<?xml")
@@ -320,9 +338,24 @@ def test_cmd_simulate_removes_a_half_written_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr("fracstab.cli.plot_panels", failing_plot)
     out_dir = str(tmp_path / "out")
-    with pytest.raises(OSError):
-        main(["simulate", "--config", write_config(tmp_path, BASE_SICA), "--out", out_dir])
+    code = main(["simulate", "--config", write_config(tmp_path, BASE_SICA), "--out", out_dir])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "OSError", "message": "no space left on device"}
     assert os.listdir(out_dir) == []
+
+
+def test_os_error_on_an_output_path_exits_2_before_any_output(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = write_config(tmp_path, BASE_TEIV)
+    code = main(["simulate", "--config", config, "--out", str(blocker / "out")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "NotADirectoryError"
+    code = main(["report", "--config", config, "--out", str(tmp_path / "missing" / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "FileNotFoundError"
 
 
 def test_cmd_simulate_divergence_removes_partial_outputs(tmp_path, capsys):

@@ -7,10 +7,15 @@ import pytest
 
 from fracstab import (
     ContractError,
+    CrossQuadComponent,
     FractionalOrder,
     GFunction,
+    LyapunovFunctional,
     NewtonError,
+    PsiComponent,
     UniformGrid,
+    identity_g,
+    psi_profile,
     solve_fde_abm,
 )
 from fracstab.cli import certify_order
@@ -282,7 +287,7 @@ def test_lyapunov_mass_action_limit_matches_log_closed_form():
 
 
 def test_incidence_on_arrays_matches_per_float_calls():
-    # the T-part's g evaluates the incidence on whole arrays of T
+    # the paper's g of the T-part evaluates the incidence on whole arrays of T
     rng = np.random.default_rng(19)
     for p in [demo_params()] + [random_params(rng) for _ in range(20)]:
         incidence = teiv.teiv_incidence(p)
@@ -301,6 +306,53 @@ def test_t_part_psi_invariant_under_incidence_scaling():
     g5 = GFunction(lambda th: 5.0 * incidence(th, vbar), "scaled")
     for x in (3.0, 20.0, 75.0):
         assert psi(g5, 30.0, x) == pytest.approx(psi(g1, 30.0, x), rel=1e-12)
+
+
+def g_form_functional(p, anchor):
+    """The paper's functional as written: the T-part psi_g with the incidence at
+    the anchor's virus level as g, log parts on E, I, V, and the cross
+    quadratic weighted rho(1 + alpha2 Vbar)/(1 + alpha1 Tbar + alpha2 Vbar + alpha3 Tbar Vbar)."""
+    tbar, ebar, _, vbar = anchor
+    incidence = teiv.teiv_incidence(p)
+    g = GFunction(lambda s: incidence(s, vbar), "incidence")
+    xi = p.eclipse_exit_rate
+    weights = (1.0, 1.0, xi / p.gamma, p.mu_I * xi / (p.k * p.gamma))
+    gs = (g, identity_g(), identity_g(), identity_g())
+    cross_w = p.rho * (1.0 + p.alpha2 * vbar) / (
+        1.0 + p.alpha1 * tbar + p.alpha2 * vbar + p.alpha3 * tbar * vbar)
+    return LyapunovFunctional(
+        tuple(PsiComponent(a, gi, float(x), i) for i, (a, gi, x) in enumerate(zip(weights, gs, anchor))),
+        (CrossQuadComponent(cross_w, (0, 1), (float(tbar), float(ebar))),),
+    )
+
+
+def test_lyapunov_is_the_g_form_as_a_weighted_log_volterra_sum():
+    # psi_g(T) = w (T - Tbar - Tbar log(T/Tbar)), w = c0/(c0 + c1 Tbar), for the
+    # incidence g(s) = beta s/(c0 + c1 s); the cross weight is rho w
+    demo = demo_params()
+    traj = solve_fde_abm(teiv.teiv_model(demo), FractionalOrder(0.8),
+                         np.array([40.0, 1.0, 1.0, 5.0]), UniformGrid(0.0, 100.0 / 800, 800))
+    X, T = traj.states, traj.component(0)
+    rng = np.random.default_rng(47)
+    params = [demo, demo_params(alpha1=0.0, alpha2=0.0, alpha3=0.0)]
+    while len(params) < 21:
+        p = random_params(rng)
+        if teiv.teiv_r0(p) > 1.0:
+            params.append(p)
+    for p in params:
+        incidence = teiv.teiv_incidence(p)
+        for anchor in teiv.teiv_equilibria(p):
+            tbar, _, _, vbar = anchor
+            c0 = 1.0 + p.alpha2 * vbar
+            w = c0 / (c0 + (p.alpha1 + p.alpha3 * vbar) * tbar)
+            closed = w * (T - tbar - tbar * np.log(T / tbar))
+            quad = psi_profile(GFunction(lambda s: incidence(s, vbar), "incidence"), tbar, T)
+            assert np.abs(quad - closed).max() <= 1e-12 * np.abs(closed).max(), (p, anchor)
+
+            L = teiv.teiv_lyapunov(p, anchor)
+            assert all(part.g is identity_g() for part in L.psi_parts)
+            V, V_g = L.values_along(X), g_form_functional(p, anchor).values_along(X)
+            assert np.abs(V - V_g).max() <= 1e-13 * np.abs(V_g).max(), (p, anchor)
 
 
 def test_lyapunov_orbital_derivative_nonpositive_at_chronic():

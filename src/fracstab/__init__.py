@@ -26,11 +26,8 @@ from .errors import (
 )
 from .lyapunov import (
     Certificate,
-    CrossQuadComponent,
     GFunction,
     LyapunovFunctional,
-    PsiComponent,
-    build_log_volterra,
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
@@ -51,7 +48,6 @@ __all__ = [
     "Certificate",
     "ConfigError",
     "ContractError",
-    "CrossQuadComponent",
     "DivergenceError",
     "DomainError",
     "FracstabError",
@@ -62,11 +58,9 @@ __all__ = [
     "ModelDefinition",
     "NewtonError",
     "NoEndemicEquilibriumError",
-    "PsiComponent",
     "SampledSignal",
     "Trajectory",
     "UniformGrid",
-    "build_log_volterra",
     "caputo_of_functional",
     "damped_newton",
     "decrescence_certificate",

@@ -26,6 +26,7 @@ from .lyapunov import (
     Certificate,
     GFunction,
     LyapunovFunctional,
+    below_psi_floor,
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
@@ -67,6 +68,17 @@ def _solve(cfg: ExperimentConfig, model, order: FractionalOrder) -> Trajectory:
     return traj
 
 
+def _require_start_in_domain(cfg: ExperimentConfig, labels, anchor) -> None:
+    """ConfigError naming the first state label whose ``initial_state`` component
+    is ``below_psi_floor`` where ``anchor`` is positive: psi would refuse node 0
+    of every solve, so none runs."""
+    bad = np.flatnonzero(below_psi_floor(cfg.initial_state) & (np.asarray(anchor) > 0))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(f"initial_state {labels[i]} = {cfg.initial_state[i]!r} is below "
+                          f"psi's floor where its anchor {float(anchor[i])!r} is positive")
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if out_path:
@@ -88,6 +100,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     written = []
     try:
         functionals = {k: spec.functional_at(p, spec.anchor(k, p)) for k in cfg.functionals}
+        for fn in functionals.values():
+            _require_start_in_domain(cfg, model.state_labels, fn.anchor)
         trajectories = {}
         for order in cfg.orders:
             traj = _solve(cfg, model, order)
@@ -134,6 +148,7 @@ def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> i
             f"unknown coordinate {coordinate!r}; choose from {model.state_labels}"
         )
     idx = model.state_labels.index(coordinate)
+    _require_start_in_domain(cfg, model.state_labels, np.eye(model.dimension)[idx] * xbar)
     traj = _solve(cfg, model, order)
     cert = lemma_certificate(SampledSignal(traj.grid, traj.component(idx)), g, xbar, order)
     _emit(cert.to_json_dict(), out_path)
@@ -194,6 +209,7 @@ def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
     endemic_regime = spec.threshold(p) > 1.0
     target = spec.predicted(p)
     functional = spec.functional_at(p, target)
+    _require_start_in_domain(cfg, model.state_labels, functional.anchor)
     consistent = spec.spectral_consistent(p)
     regime = "endemic" if endemic_regime else "disease-free"
 

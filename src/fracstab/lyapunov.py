@@ -1,12 +1,14 @@
 """Construction, evaluation, and certification of Lyapunov functionals.
 
-The functionals are weighted sums of anchored components
+The anchored component
 
     psi(x) = x - xstar - integral_{xstar}^{x} g(xstar)/g(s) ds
 
-with g non-negative and strictly increasing, optionally combined with
-quadratic forms over sums of coordinates.  Certificates check, along
-sampled signals, the fractional comparison inequality
+takes any g non-negative and strictly increasing.  A functional is its
+weights and its anchor: a weighted sum of identity-g components, the
+log-Volterra form, plus an optional quadratic over a sum of coordinates.
+Certificates check, along sampled signals, the fractional comparison
+inequality
 
     D^alpha psi(x(t))  <=  (1 - g(xbar)/g(x(t))) D^alpha x(t)
 
@@ -16,7 +18,7 @@ and the decrescence of a discrete Caputo-derivative signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -63,77 +65,64 @@ def identity_g() -> GFunction:
 
 
 @dataclass(frozen=True)
-class PsiComponent:
-    """Weighted anchored component a * psi(x[component_index])."""
-
-    weight: float
-    g: GFunction
-    xstar: float
-    component_index: int
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ContractError("psi component weight must be positive")
-        if self.xstar < 0:
-            raise ContractError("psi anchor must be non-negative")
-
-
-@dataclass(frozen=True)
-class CrossQuadComponent:
-    """Quadratic form w/2 (sum_i (x_i - anchor_i))^2 over an index set."""
-
-    weight: float
-    indices: tuple
-    anchors: tuple
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ContractError("cross-quadratic weight must be non-negative")
-        if len(self.indices) != len(self.anchors):
-            raise ContractError("indices and anchors must have equal length")
-
-
-@dataclass(frozen=True)
 class LyapunovFunctional:
-    """Immutable weighted sum of psi and cross-quadratic parts."""
+    """Weighted log-Volterra sum with an optional cross quadratic,
 
-    psi_parts: tuple
-    cross_quad_parts: tuple = ()
+        V(x) = sum_i w_i psi(x_i) + w/2 (sum_{i in J} (x_i - xstar_i))^2,
+
+    psi the identity-g component at ``anchor[i]`` (x_i itself for a zero
+    anchor coordinate).  One positive weight and one non-negative anchor
+    coordinate per state component; the quadratic over ``cross_indices``
+    takes its anchors from ``anchor``.
+    """
+
+    weights: tuple
+    anchor: tuple
+    cross_weight: float = 0.0
+    cross_indices: tuple = ()
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.anchor):
+            raise ContractError("weights and anchor must have equal length")
+        if any(a <= 0 for a in self.weights):
+            raise ContractError("functional weights must be positive")
+        if any(x < 0 for x in self.anchor):
+            raise ContractError("anchor coordinates must be non-negative")
+        if self.cross_weight < 0:
+            raise ContractError("cross-quadratic weight must be non-negative")
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        object.__setattr__(self, "anchor", tuple(map(float, self.anchor)))
 
     def values_along(self, states: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over a (n_nodes, dim) state array."""
         states = np.asarray(states, dtype=float)
         total = np.zeros(states.shape[0])
-        for part in self.psi_parts:
-            total += part.weight * psi_profile(part.g, part.xstar, states[:, part.component_index])
-        for part in self.cross_quad_parts:
-            total += 0.5 * part.weight * _deviation(states, part) ** 2
+        for i, (a, xstar) in enumerate(zip(self.weights, self.anchor)):
+            total += a * psi_profile(identity_g(), xstar, states[:, i])
+        if self.cross_indices:
+            total += 0.5 * self.cross_weight * self._cross_deviation(states) ** 2
         return total
 
     def rate_along(self, states: np.ndarray, rates: np.ndarray) -> np.ndarray:
         """Chain rule over (n_nodes, dim) arrays: the functional's rate of change
         at each row of ``states`` when the state moves at that row of ``rates``,
-        sum_i a_i psi_i'(x_i) rate_i plus w dev sum(rates) per cross-quadratic part.
+        sum_i w_i psi'(x_i) rate_i plus w dev sum_{i in J} rate_i.
         """
         states = np.asarray(states, dtype=float)
         rates = np.asarray(rates, dtype=float)
         if rates.shape != states.shape:
             raise ContractError("states and rates shapes differ")
         total = np.zeros(states.shape[0])
-        for part in self.psi_parts:
-            i = part.component_index
-            total += part.weight * psi_slope(part.g, part.xstar, states[:, i]) * rates[:, i]
-        for part in self.cross_quad_parts:
-            total += part.weight * _deviation(states, part) * sum(rates[:, i] for i in part.indices)
+        for i, (a, xstar) in enumerate(zip(self.weights, self.anchor)):
+            total += a * psi_slope(identity_g(), xstar, states[:, i]) * rates[:, i]
+        if self.cross_indices:
+            total += (self.cross_weight * self._cross_deviation(states)
+                      * sum(rates[:, i] for i in self.cross_indices))
         return total
 
-
-def _deviation(states: np.ndarray, part: CrossQuadComponent) -> np.ndarray:
-    """sum_i (x_i - anchor_i) over a cross-quadratic part's indices, per row."""
-    dev = np.zeros(states.shape[0])
-    for i, a in zip(part.indices, part.anchors):
-        dev += states[:, i] - a
-    return dev
+    def _cross_deviation(self, states: np.ndarray) -> np.ndarray:
+        """sum_{i in J} (x_i - xstar_i) per row."""
+        return sum(states[:, i] - self.anchor[i] for i in self.cross_indices)
 
 
 @dataclass(frozen=True)
@@ -163,9 +152,14 @@ class Certificate:
         return out
 
 
+def below_psi_floor(xs) -> np.ndarray:
+    """Where psi with a positive anchor is singular: a mask of the entries below its floor."""
+    return np.asarray(xs, dtype=float) < _X_FLOOR
+
+
 def _require_positive(xs: np.ndarray) -> None:
-    """psi with a positive anchor is singular at or below the floor: name the first such sample."""
-    bad = np.flatnonzero(xs < _X_FLOOR)
+    """DomainError naming the first sample ``below_psi_floor``."""
+    bad = np.flatnonzero(below_psi_floor(xs))
     if bad.size:
         k = int(bad[0])
         raise DomainError(f"psi requires strictly positive samples; sample {k} is {float(xs[k])!r}")
@@ -261,16 +255,3 @@ def _certificate(kind, gap, tolerance, offset, grid, order=None) -> Certificate:
     violating = None if passed else int(np.argmax(gap > tolerance)) + offset
     return Certificate(kind, max_violation, tolerance, passed, violating, grid, order)
 
-
-def build_log_volterra(parts: Sequence[tuple]) -> LyapunovFunctional:
-    """Functional sum_i a_i * (x_i - xstar_i - xstar_i log(x_i/xstar_i)).
-
-    ``parts`` is a sequence of (weight, anchor) pairs, one per coordinate
-    in order; a zero anchor degenerates that component to x_i.
-    """
-    g = identity_g()
-    psi_parts = tuple(
-        PsiComponent(weight=a, g=g, xstar=xstar, component_index=i)
-        for i, (a, xstar) in enumerate(parts)
-    )
-    return LyapunovFunctional(psi_parts=psi_parts)

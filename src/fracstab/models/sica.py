@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, DomainError, NoEndemicEquilibriumError
-from ..lyapunov import LyapunovFunctional, build_log_volterra
+from ..lyapunov import LyapunovFunctional
 from ..newton import damped_newton, require_equilibrium
 from ..solver import ModelDefinition
 
@@ -178,7 +178,7 @@ def sica_v1(p: SicaParams, anchor) -> LyapunovFunctional:
     """
     anchor = require_equilibrium(sica_field(p), anchor, len(STATE_LABELS))
     weights = (1.0, 1.0, p.omega / p.c_exit_rate, p.alpha_t / p.a_exit_rate)
-    return build_log_volterra(list(zip(weights, anchor)))
+    return LyapunovFunctional(weights, anchor)
 
 
 def sica_v0(p: SicaParams) -> LyapunovFunctional:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NewtonError, NoEndemicEquilibriumError
-from ..lyapunov import CrossQuadComponent, LyapunovFunctional, build_log_volterra
+from ..lyapunov import LyapunovFunctional
 from ..newton import accept_root, damped_newton, require_equilibrium
 from ..solver import ModelDefinition
 
@@ -197,10 +197,9 @@ def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     Raises ``ContractError`` for an anchor that is not an equilibrium.
     """
     anchor = require_equilibrium(teiv_field(p), anchor, len(STATE_LABELS))
-    tbar, ebar, _, vbar = anchor
+    tbar, _, _, vbar = anchor
     c0 = 1.0 + p.alpha2 * vbar
     w = c0 / (c0 + (p.alpha1 + p.alpha3 * vbar) * tbar)
     xi = p.eclipse_exit_rate
     weights = (w, 1.0, xi / p.gamma, p.mu_I * xi / (p.k * p.gamma))
-    cross = CrossQuadComponent(weight=p.rho * w, indices=(0, 1), anchors=(float(tbar), float(ebar)))
-    return LyapunovFunctional(build_log_volterra(list(zip(weights, anchor))).psi_parts, (cross,))
+    return LyapunovFunctional(weights, anchor, p.rho * w, (0, 1))

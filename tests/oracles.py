@@ -52,39 +52,31 @@ def psi(g, xstar: float, x: float) -> float:
 
 
 def functional_value(fn, state) -> float:
-    """A LyapunovFunctional at one state, summed part by part with scalar ``psi``."""
+    """A LyapunovFunctional at one state, summed component by component with scalar ``psi``."""
     state = np.asarray(state, dtype=float)
     total = 0.0
-    for part in fn.psi_parts:
-        total += part.weight * psi(part.g, part.xstar, state[part.component_index])
-    for part in fn.cross_quad_parts:
-        dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
-        total += 0.5 * part.weight * dev ** 2
-    return total
+    for i, (a, xstar) in enumerate(zip(fn.weights, fn.anchor)):
+        total += a * psi(identity_g(), xstar, state[i])
+    dev = sum(state[i] - fn.anchor[i] for i in fn.cross_indices)
+    return total + 0.5 * fn.cross_weight * dev ** 2
 
 
 def orbital_derivative(fn, model, state) -> float:
     """Classical orbital derivative of a LyapunovFunctional at one state,
-    summed part by part: multiplier_i * rhs_i with the multiplier
-    1 - g(xstar)/g(x_i) of a psi part (1 for a zero anchor), plus the chain
-    rule of each cross-quadratic part."""
+    summed component by component: w_i (1 - xstar_i/x_i) rhs_i (w_i rhs_i for a
+    zero anchor coordinate), plus the chain rule of the cross quadratic."""
     state = np.asarray(state, dtype=float)
     fx = model.rhs(state.tolist())
     total = 0.0
-    for part in fn.psi_parts:
-        x = state[part.component_index]
-        if part.xstar == 0.0:
+    for i, (a, xstar) in enumerate(zip(fn.weights, fn.anchor)):
+        if xstar == 0.0:
             mult = 1.0
         else:
-            gx = part.g(x)
-            if gx == 0.0:
-                raise DomainError("g vanished at the evaluation state")
-            mult = 1.0 - part.g(part.xstar) / gx
-        total += part.weight * mult * fx[part.component_index]
-    for part in fn.cross_quad_parts:
-        dev = sum(state[i] - a for i, a in zip(part.indices, part.anchors))
-        total += part.weight * dev * sum(fx[i] for i in part.indices)
-    return total
+            _check_positive_x(state[i], xstar)
+            mult = 1.0 - xstar / state[i]
+        total += a * mult * fx[i]
+    dev = sum(state[i] - fn.anchor[i] for i in fn.cross_indices)
+    return total + fn.cross_weight * dev * sum(fx[i] for i in fn.cross_indices)
 
 
 def _array_rhs(model):

@@ -8,10 +8,10 @@ import pytest
 from fracstab import (
     ConfigError,
     FractionalOrder,
+    LyapunovFunctional,
     NewtonError,
     Trajectory,
     UniformGrid,
-    build_log_volterra,
     default_tolerance,
     solve_fde_abm,
 )
@@ -112,6 +112,43 @@ def test_negative_initial_state_is_a_config_error_before_any_solve(tmp_path, cap
     assert main(["report", "--config", write_config(tmp_path, doc)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ConfigError", "message": "initial_state must be non-negative; ['E'] below 0"}
+
+
+@pytest.mark.parametrize("command", ["report", "simulate", "verify-lemma"])
+@pytest.mark.parametrize("config,label,xbar", [("teiv_demo", "T", "23.3"), ("fig2", "S", "144339.46")])
+def test_zero_initial_state_at_a_positive_anchor_fails_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, config, label, xbar):
+    # psi anchored at a positive value refuses node 0, so no solve may run first
+    solves = []
+    monkeypatch.setattr("fracstab.cli.solve_fde_abm",
+                        lambda *args: solves.append(args) or solve_fde_abm(*args))
+    with open(os.path.join(CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["initial_state"][0] = 0.0
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "verify-lemma":
+        argv += ["--coordinate", label, "--xbar", xbar]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"initial_state {label} = 0.0 is below psi's floor")
+    assert solves == []
+
+
+def test_verify_lemma_checks_only_its_coordinate_against_the_floor(tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr("fracstab.cli.solve_fde_abm",
+                        lambda *args: solves.append(args) or solve_fde_abm(*args))
+    doc = dict(copy.deepcopy(BASE_SICA), initial_state=[0.0, 74574.696, 37287.348, 37287.348])
+    argv = ["verify-lemma", "--config", write_config(tmp_path, doc), "--xbar", "1000.0"]
+    assert main(argv + ["--coordinate", "S"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert solves == []
+    assert main(argv + ["--coordinate", "I"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["kind"] == "lemma_inequality"
+    assert len(solves) == 1
 
 
 def test_config_rejects_model_functional_mismatch():
@@ -538,7 +575,7 @@ def hand_built(states, target, h=0.5, alpha=0.9):
     and their ``certify_order``."""
     states = np.asarray(states, dtype=float)
     traj = Trajectory(UniformGrid(0.0, h, len(states) - 1), states, FractionalOrder(alpha))
-    functional = build_log_volterra([(1.0, x) for x in target])
+    functional = LyapunovFunctional((1.0,) * len(target), target)
     return traj, functional, certify_order(functional, traj, target)
 
 

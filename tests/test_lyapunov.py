@@ -5,16 +5,13 @@ import pytest
 
 from fracstab import (
     ContractError,
-    CrossQuadComponent,
     DomainError,
     FractionalOrder,
     GFunction,
     LyapunovFunctional,
     ModelDefinition,
-    PsiComponent,
     SampledSignal,
     UniformGrid,
-    build_log_volterra,
     caputo_of_functional,
     decrescence_certificate,
     default_tolerance,
@@ -143,53 +140,43 @@ def test_psi_profile_rejects_non_positive_samples():
 # ---------------------------------------------------------------- functional assembly
 
 def test_component_validation():
-    with pytest.raises(ContractError):
-        PsiComponent(weight=0.0, g=identity_g(), xstar=1.0, component_index=0)
-    with pytest.raises(ContractError):
-        PsiComponent(weight=1.0, g=identity_g(), xstar=-1.0, component_index=0)
-    with pytest.raises(ContractError):
-        CrossQuadComponent(weight=-1.0, indices=(0,), anchors=(0.0,))
-    with pytest.raises(ContractError):
-        CrossQuadComponent(weight=1.0, indices=(0, 1), anchors=(0.0,))
+    with pytest.raises(ContractError, match="weights must be positive"):
+        LyapunovFunctional((1.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ContractError, match="anchor coordinates must be non-negative"):
+        LyapunovFunctional((1.0, 1.0), (1.0, -1.0))
+    with pytest.raises(ContractError, match="cross-quadratic weight must be non-negative"):
+        LyapunovFunctional((1.0,), (0.0,), -1.0, (0,))
+    with pytest.raises(ContractError, match="equal length"):
+        LyapunovFunctional((1.0, 1.0), (0.0,))
 
 
 def test_quadratic_part_hand_value():
-    fn = LyapunovFunctional(
-        psi_parts=(),
-        cross_quad_parts=(CrossQuadComponent(weight=4.0, indices=(0,), anchors=(1.0,)),),
-    )
-    assert functional_value(fn, [3.0]) == pytest.approx(0.5 * 4.0 * 4.0)
+    fn = LyapunovFunctional((1.0,), (1.0,), 4.0, (0,))
+    # log part 3 - 1 - log 3, quadratic part 0.5 * 4 * (3 - 1)^2
+    expected = 2.0 - math.log(3.0) + 0.5 * 4.0 * 4.0
+    assert functional_value(fn, [3.0]) == pytest.approx(expected)
+    assert fn.values_along([[3.0]])[0] == pytest.approx(expected)
 
 
 def test_cross_quadratic_part_hand_value():
-    fn = LyapunovFunctional(
-        psi_parts=(),
-        cross_quad_parts=(CrossQuadComponent(weight=2.0, indices=(0, 1), anchors=(1.0, 2.0)),),
-    )
-    # deviation sum = (4-1) + (1-2) = 2, value = 0.5 * 2 * 2^2
-    assert functional_value(fn, [4.0, 1.0]) == pytest.approx(4.0)
+    fn = LyapunovFunctional((1.0, 1.0), (1.0, 2.0), 2.0, (0, 1))
+    # log parts (3 - log 4) + (-1 + 2 log 2) = 2; deviation sum (4-1) + (1-2) = 2,
+    # quadratic part 0.5 * 2 * 2^2 = 4
+    assert functional_value(fn, [4.0, 1.0]) == pytest.approx(6.0)
+    assert fn.values_along([[4.0, 1.0]])[0] == pytest.approx(6.0)
 
 
 def test_values_along_matches_scalar_value():
     rng = np.random.default_rng(7)
-    fn = LyapunovFunctional(
-        psi_parts=(
-            PsiComponent(1.0, identity_g(), 2.0, 0),
-            PsiComponent(0.5, sqrt_g(), 1.0, 1),
-        ),
-        cross_quad_parts=(
-            CrossQuadComponent(0.3, (0,), (0.5,)),
-            CrossQuadComponent(1.2, (0, 1), (2.0, 1.0)),
-        ),
-    )
-    states = rng.uniform(0.2, 5.0, size=(40, 2))
+    fn = LyapunovFunctional((1.0, 0.5, 2.0), (2.0, 1.0, 0.0), 1.2, (0, 2))
+    states = rng.uniform(0.2, 5.0, size=(40, 3))
     along = fn.values_along(states)
     scalar = np.array([functional_value(fn, s) for s in states])
     np.testing.assert_allclose(along, scalar, atol=1e-9)
 
 
-def test_build_log_volterra_zero_at_anchor():
-    fn = build_log_volterra([(1.0, 2.0), (3.0, 0.0), (0.5, 4.0)])
+def test_log_volterra_zero_at_anchor():
+    fn = LyapunovFunctional((1.0, 3.0, 0.5), (2.0, 0.0, 4.0))
     assert functional_value(fn, [2.0, 0.0, 4.0]) == pytest.approx(0.0, abs=1e-12)
     assert functional_value(fn, [2.5, 1.0, 3.0]) > 0.0
 
@@ -198,18 +185,15 @@ def test_build_log_volterra_zero_at_anchor():
 
 def test_field_derivative_quadratic_chain_rule():
     model = ModelDefinition(1, lambda u: [-2.0 * v for v in u], "decay2", ("x",))
-    fn = LyapunovFunctional(
-        psi_parts=(),
-        cross_quad_parts=(CrossQuadComponent(weight=1.0, indices=(0,), anchors=(0.0,)),),
-    )
-    # d/dt x^2/2 = x * (-2x) = -2 x^2
+    fn = LyapunovFunctional((1.0,), (0.0,), 1.0, (0,))
+    # V = x + x^2/2: d/dt x = -2x = -6 and d/dt x^2/2 = x * (-2x) = -18
     state = np.array([3.0])
-    assert fn.rate_along([state], [model.rhs(state.tolist())])[0] == pytest.approx(-18.0)
+    assert fn.rate_along([state], [model.rhs(state.tolist())])[0] == pytest.approx(-24.0)
 
 
 def test_field_derivative_log_part_multiplier():
     model = ModelDefinition(1, lambda u: np.array([5.0]), "constant", ("x",))
-    fn = build_log_volterra([(1.0, 2.0)])
+    fn = LyapunovFunctional((1.0,), (2.0,))
     # multiplier is 1 - xbar/x
     state = np.array([4.0])
     assert fn.rate_along([state], [model.rhs(state.tolist())])[0] == pytest.approx((1.0 - 0.5) * 5.0)
@@ -219,13 +203,7 @@ def test_field_derivative_matches_finite_difference_of_value():
     model = ModelDefinition(
         2, lambda u: np.array([1.0 - u[0], u[0] - 2.0 * u[1]]), "affine", ("x", "y")
     )
-    fn = LyapunovFunctional(
-        psi_parts=(PsiComponent(1.0, identity_g(), 1.0, 0),),
-        cross_quad_parts=(
-            CrossQuadComponent(2.0, (1,), (0.5,)),
-            CrossQuadComponent(0.7, (0, 1), (1.0, 0.5)),
-        ),
-    )
+    fn = LyapunovFunctional((1.0, 2.0), (1.0, 0.5), 0.7, (0, 1))
     grid = UniformGrid(0.0, 1e-4, 2)
     traj = solve_ode_rk4(model, [2.0, 1.0], grid)
     values = fn.values_along(traj.states)
@@ -335,7 +313,7 @@ def test_caputo_of_functional_matches_manual_composition():
     model = ModelDefinition(1, lambda u: [-v for v in u], "decay", ("x",))
     grid = UniformGrid(0.0, 0.01, 100)
     traj = solve_ode_rk4(model, [2.0], grid)
-    fn = build_log_volterra([(1.0, 1.0)])
+    fn = LyapunovFunctional((1.0,), (1.0,))
     via_helper = caputo_of_functional(fn.values_along(traj.states), traj)
     manual = l1_caputo(
         SampledSignal(grid, fn.values_along(traj.states)), FractionalOrder(1.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def test_schema_enums_match_registry():
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(props) == names
     assert set(schema["required"]) == names - {"functionals"}
+    # nor the params fields: it points to each model's params dataclass
+    words = set(re.findall(r"\w+", props["params"]["description"]))
+    for name, spec in MODELS.items():
+        fields = {f.name for f in dataclasses.fields(spec.params)}
+        assert not words & fields, (name, sorted(words & fields))
 
 
 

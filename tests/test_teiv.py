@@ -7,12 +7,9 @@ import pytest
 
 from fracstab import (
     ContractError,
-    CrossQuadComponent,
     FractionalOrder,
     GFunction,
-    LyapunovFunctional,
     NewtonError,
-    PsiComponent,
     UniformGrid,
     identity_g,
     psi_profile,
@@ -309,9 +306,10 @@ def test_t_part_psi_invariant_under_incidence_scaling():
 
 
 def g_form_functional(p, anchor):
-    """The paper's functional as written: the T-part psi_g with the incidence at
-    the anchor's virus level as g, log parts on E, I, V, and the cross
-    quadratic weighted rho(1 + alpha2 Vbar)/(1 + alpha1 Tbar + alpha2 Vbar + alpha3 Tbar Vbar)."""
+    """The paper's functional as written, as a map from a (n, 4) state array to
+    its n values: the T-part psi_g with the incidence at the anchor's virus level
+    as g, log parts on E, I, V, and the cross quadratic weighted
+    rho(1 + alpha2 Vbar)/(1 + alpha1 Tbar + alpha2 Vbar + alpha3 Tbar Vbar)."""
     tbar, ebar, _, vbar = anchor
     incidence = teiv.teiv_incidence(p)
     g = GFunction(lambda s: incidence(s, vbar), "incidence")
@@ -320,10 +318,14 @@ def g_form_functional(p, anchor):
     gs = (g, identity_g(), identity_g(), identity_g())
     cross_w = p.rho * (1.0 + p.alpha2 * vbar) / (
         1.0 + p.alpha1 * tbar + p.alpha2 * vbar + p.alpha3 * tbar * vbar)
-    return LyapunovFunctional(
-        tuple(PsiComponent(a, gi, float(x), i) for i, (a, gi, x) in enumerate(zip(weights, gs, anchor))),
-        (CrossQuadComponent(cross_w, (0, 1), (float(tbar), float(ebar))),),
-    )
+
+    def values_along(X):
+        total = np.zeros(X.shape[0])
+        for i, (a, gi, x) in enumerate(zip(weights, gs, anchor)):
+            total += a * psi_profile(gi, float(x), X[:, i])
+        return total + 0.5 * cross_w * ((X[:, 0] - tbar) + (X[:, 1] - ebar)) ** 2
+
+    return values_along
 
 
 def test_lyapunov_is_the_g_form_as_a_weighted_log_volterra_sum():
@@ -349,9 +351,7 @@ def test_lyapunov_is_the_g_form_as_a_weighted_log_volterra_sum():
             quad = psi_profile(GFunction(lambda s: incidence(s, vbar), "incidence"), tbar, T)
             assert np.abs(quad - closed).max() <= 1e-12 * np.abs(closed).max(), (p, anchor)
 
-            L = teiv.teiv_lyapunov(p, anchor)
-            assert all(part.g is identity_g() for part in L.psi_parts)
-            V, V_g = L.values_along(X), g_form_functional(p, anchor).values_along(X)
+            V, V_g = teiv.teiv_lyapunov(p, anchor).values_along(X), g_form_functional(p, anchor)(X)
             assert np.abs(V - V_g).max() <= 1e-13 * np.abs(V_g).max(), (p, anchor)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fracstab import ModelDefinition, NoEndemicEquilibriumError, build_log_volterra
+from fracstab import LyapunovFunctional, ModelDefinition, NoEndemicEquilibriumError
 from fracstab.cli import main
 from fracstab.models import MODELS, ModelSpec
 from fracstab.newton import require_equilibrium
@@ -65,7 +65,7 @@ def virus_endemic(p: VirusParams) -> np.ndarray:
 
 def virus_functional(p: VirusParams, anchor):
     anchor = require_equilibrium(virus_field(p), anchor, len(STATE_LABELS))
-    return build_log_volterra(list(zip((1.0, 1.0, p.a / p.k), anchor)))
+    return LyapunovFunctional((1.0, 1.0, p.a / p.k), anchor)
 
 
 def virus_r0_document(p: VirusParams) -> dict:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all certificates pass, 1 a certificate fails,
 2 any other package error (configuration, domain, grid, equilibrium or
-Newton failure) or an OS error on an output path (the JSON error goes to
-stderr), 3 a solve that diverges or undershoots, with
+Newton failure), an OS error on an output path or a grid too large to
+allocate (the JSON error goes to stderr), 3 a solve that diverges or undershoots, with
 {"error": "divergence" | "undershoot", "node": k, "order": a} on stdout.
 """
 
@@ -49,34 +49,32 @@ _G_REGISTRY = {
 }
 
 
-def _model_of(cfg: ExperimentConfig):
-    return cfg.spec.model(cfg.params)
+def _solve_orders(cfg: ExperimentConfig, model, orders, anchors) -> list[Trajectory]:
+    """One ``solve_fde_abm``, looked up here, per order on the config's grid and initial state.
 
-
-def _grid_of(cfg: ExperimentConfig) -> UniformGrid:
-    return UniformGrid(t0=0.0, h=cfg.t_end / cfg.steps, n_steps=cfg.steps)
-
-
-def _solve(cfg: ExperimentConfig, model, order: FractionalOrder) -> Trajectory:
-    """``solve_fde_abm``, looked up here, on the config's grid and initial state; an "undershoot"
-    ``DivergenceError`` at the first node k where some x_ik < -1e-8 max(max_{j<=k} |x_ij|, 1)."""
-    traj = solve_fde_abm(model, order, np.asarray(cfg.initial_state), _grid_of(cfg))
-    floor = -1e-8 * np.maximum(np.maximum.accumulate(np.abs(traj.states)), 1.0)
-    below = np.flatnonzero((traj.states < floor).any(axis=1))
-    if below.size:
-        raise DivergenceError(int(below[0]), order.alpha, "undershoot")
-    return traj
-
-
-def _require_start_in_domain(cfg: ExperimentConfig, labels, anchor) -> None:
-    """ConfigError naming the first state label whose ``initial_state`` component
-    is ``below_psi_floor`` where ``anchor`` is positive: psi would refuse node 0
-    of every solve, so none runs."""
-    bad = np.flatnonzero(below_psi_floor(cfg.initial_state) & (np.asarray(anchor) > 0))
-    if bad.size:
-        i = int(bad[0])
-        raise ConfigError(f"initial_state {labels[i]} = {cfg.initial_state[i]!r} is below "
-                          f"psi's floor where its anchor {float(anchor[i])!r} is positive")
+    No solve runs if some ``initial_state`` component is ``below_psi_floor`` where an
+    anchor is positive (psi would refuse node 0): a ConfigError names its state label.
+    A solve that undershoots raises an "undershoot" ``DivergenceError`` at the first
+    node k where some x_ik < -1e-8 max(max_{j<=k} |x_ij|, 1).
+    """
+    x0 = np.asarray(cfg.initial_state)
+    for anchor in anchors:
+        bad = np.flatnonzero(below_psi_floor(x0) & (np.asarray(anchor) > 0))
+        if bad.size:
+            i = int(bad[0])
+            label, x = model.state_labels[i], cfg.initial_state[i]
+            raise ConfigError(f"initial_state {label} = {x!r} is below psi's floor "
+                              f"where its anchor {float(anchor[i])!r} is positive")
+    grid = UniformGrid(t0=0.0, h=cfg.t_end / cfg.steps, n_steps=cfg.steps)
+    trajectories = []
+    for order in orders:
+        traj = solve_fde_abm(model, order, x0, grid)
+        floor = -1e-8 * np.maximum(np.maximum.accumulate(np.abs(traj.states)), 1.0)
+        below = np.flatnonzero((traj.states < floor).any(axis=1))
+        if below.size:
+            raise DivergenceError(int(below[0]), order.alpha, "undershoot")
+        trajectories.append(traj)
+    return trajectories
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -87,42 +85,39 @@ def _emit(doc: dict, out_path: str | None) -> None:
     print(text)
 
 
-def cmd_r0(cfg: ExperimentConfig, out_path: str | None) -> int:
-    _emit({"model": cfg.model, **cfg.spec.r0_document(cfg.params)}, out_path)
+def cmd_r0(cfg: ExperimentConfig, args) -> int:
+    _emit({"model": cfg.model, **cfg.spec.r0_document(cfg.params)}, args.out)
     return EXIT_PASS
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    model = _model_of(cfg)
-    times = _grid_of(cfg).times()
+def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     spec, p = cfg.spec, cfg.params
+    model = spec.model(p)
+    functionals = {k: spec.functional_at(p, spec.anchor(k, p)) for k in cfg.functionals}
+    anchors = [fn.anchor for fn in functionals.values()]
+    trajectories = _solve_orders(cfg, model, cfg.orders, anchors)
+    times = trajectories[0].grid.times()
+    header = ["t", *model.state_labels]
+    header += [f"{name}_{kind}" for kind in functionals for name in ("V", "dcaputo_V")]
+    tables = []
+    for traj in trajectories:
+        columns = [times, *traj.states.T]
+        for fn in functionals.values():
+            V = fn.values_along(traj.states)
+            columns += [V, caputo_of_functional(V, traj).values]
+        tables.append(columns)
+    panels = [(label, [traj.component(i) for traj in trajectories])
+              for i, label in enumerate(model.state_labels)]
+
+    os.makedirs(args.out, exist_ok=True)
     written = []
     try:
-        functionals = {k: spec.functional_at(p, spec.anchor(k, p)) for k in cfg.functionals}
-        for fn in functionals.values():
-            _require_start_in_domain(cfg, model.state_labels, fn.anchor)
-        trajectories = {}
-        for order in cfg.orders:
-            traj = _solve(cfg, model, order)
-            trajectories[order.alpha] = traj
-            header = ["t"] + list(model.state_labels)
-            columns = [times] + [traj.component(i) for i in range(model.dimension)]
-            for kind, fn in functionals.items():
-                V = fn.values_along(traj.states)
-                header += [f"V_{kind}", f"dcaputo_V_{kind}"]
-                columns += [V, caputo_of_functional(V, traj).values]
-            path = os.path.join(out_dir, f"trajectory_order_{order.alpha:g}.csv")
+        for traj, columns in zip(trajectories, tables):
+            path = os.path.join(args.out, f"trajectory_order_{traj.order.alpha:g}.csv")
             written.append(path)  # before writing, so that a half-written file is removed too
             write_csv(path, header, columns)
-
-        panels = [
-            (label, [trajectories[o.alpha].component(i) for o in cfg.orders])
-            for i, label in enumerate(model.state_labels)
-        ]
-        svg_path = os.path.join(out_dir, "states.svg")
-        written.append(svg_path)
-        plot_panels(svg_path, times, panels, [f"order={o.alpha:g}" for o in cfg.orders])
+        written.append(os.path.join(args.out, "states.svg"))
+        plot_panels(written[-1], times, panels, [f"order={o.alpha:g}" for o in cfg.orders])
     except BaseException:
         for path in written:
             try:
@@ -134,24 +129,22 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_PASS
 
 
-def cmd_verify_lemma(cfg, coordinate, g_label, xbar, order_value, out_path) -> int:
-    if g_label not in _G_REGISTRY:
-        raise ConfigError(f"unknown g label {g_label!r}; choose from {sorted(_G_REGISTRY)}")
-    g = _G_REGISTRY[g_label]
-    if not 0.0 < xbar < math.inf:
-        raise ConfigError(f"xbar must be finite and strictly positive, got {xbar!r}")
-    order = FractionalOrder(order_value) if order_value is not None else cfg.orders[0]
+def cmd_verify_lemma(cfg: ExperimentConfig, args) -> int:
+    if args.g not in _G_REGISTRY:
+        raise ConfigError(f"unknown g label {args.g!r}; choose from {sorted(_G_REGISTRY)}")
+    if not 0.0 < args.xbar < math.inf:
+        raise ConfigError(f"xbar must be finite and strictly positive, got {args.xbar!r}")
+    order = FractionalOrder(args.order) if args.order is not None else cfg.orders[0]
 
-    model = _model_of(cfg)
-    if coordinate not in model.state_labels:
-        raise ConfigError(
-            f"unknown coordinate {coordinate!r}; choose from {model.state_labels}"
-        )
-    idx = model.state_labels.index(coordinate)
-    _require_start_in_domain(cfg, model.state_labels, np.eye(model.dimension)[idx] * xbar)
-    traj = _solve(cfg, model, order)
-    cert = lemma_certificate(SampledSignal(traj.grid, traj.component(idx)), g, xbar, order)
-    _emit(cert.to_json_dict(), out_path)
+    model = cfg.spec.model(cfg.params)
+    if args.coordinate not in model.state_labels:
+        raise ConfigError(f"unknown coordinate {args.coordinate!r}; "
+                          f"choose from {model.state_labels}")
+    idx = model.state_labels.index(args.coordinate)
+    (traj,) = _solve_orders(cfg, model, [order], [np.eye(model.dimension)[idx] * args.xbar])
+    signal = SampledSignal(traj.grid, traj.component(idx))
+    cert = lemma_certificate(signal, _G_REGISTRY[args.g], args.xbar, order)
+    _emit(cert.to_json_dict(), args.out)
     return EXIT_PASS if cert.passed else EXIT_CERT_FAIL
 
 
@@ -201,22 +194,17 @@ def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> O
     return OrderEvidence(traj, cert, dists)
 
 
-def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
-    model = _model_of(cfg)
+def cmd_report(cfg: ExperimentConfig, args) -> int:
     spec, p = cfg.spec, cfg.params
-
-    r0 = spec.r0(p)
-    endemic_regime = spec.threshold(p) > 1.0
     target = spec.predicted(p)
     functional = spec.functional_at(p, target)
-    _require_start_in_domain(cfg, model.state_labels, functional.anchor)
+    trajectories = _solve_orders(cfg, spec.model(p), cfg.orders, [functional.anchor])
     consistent = spec.spectral_consistent(p)
-    regime = "endemic" if endemic_regime else "disease-free"
+    regime = "endemic" if spec.threshold(p) > 1.0 else "disease-free"
 
     per_order = []
     all_certified = True
-    for order in cfg.orders:
-        traj = _solve(cfg, model, order)
+    for order, traj in zip(cfg.orders, trajectories):
         evidence = certify_order(functional, traj, target)
         passed = evidence.certificate.passed
         if not consistent:
@@ -231,21 +219,25 @@ def cmd_report(cfg: ExperimentConfig, out_path: str | None) -> int:
 
     doc = {
         "model": cfg.model,
-        "r0": r0,
+        "r0": spec.r0(p),
         "regime": regime,
         "r0_spectral_consistent": consistent,
         "target_equilibrium": list(target),
         "per_order": per_order,
     }
-    _emit(doc, out_path)
+    _emit(doc, args.out)
     return EXIT_PASS if all_certified else EXIT_CERT_FAIL
+
+
+COMMANDS = {"r0": cmd_r0, "simulate": cmd_simulate, "verify-lemma": cmd_verify_lemma,
+            "report": cmd_report}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fracstab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("r0", "simulate", "verify-lemma", "report"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         if name == "simulate":
@@ -263,19 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "r0":
-            return cmd_r0(cfg, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "verify-lemma":
-            return cmd_verify_lemma(cfg, args.coordinate, args.g, args.xbar, args.order, args.out)
-        return cmd_report(cfg, args.out)
+        return COMMANDS[args.command](load_config(args.config), args)
     except DivergenceError as exc:
         print(json.dumps({"error": exc.kind, "node": exc.node, "order": exc.order}))
         return EXIT_DIVERGENCE
-    except (FracstabError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    except (FracstabError, OSError, MemoryError) as exc:
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
 
 

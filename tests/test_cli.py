@@ -135,6 +135,7 @@ def test_zero_initial_state_at_a_positive_anchor_fails_before_any_solve(
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(f"initial_state {label} = 0.0 is below psi's floor")
     assert solves == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_lemma_checks_only_its_coordinate_against_the_floor(tmp_path, capsys, monkeypatch):
@@ -149,6 +150,22 @@ def test_verify_lemma_checks_only_its_coordinate_against_the_floor(tmp_path, cap
     assert main(argv + ["--coordinate", "I"]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["kind"] == "lemma_inequality"
     assert len(solves) == 1
+
+
+def test_unknown_model_exits_2_naming_it(tmp_path, capsys):
+    doc = dict(copy.deepcopy(BASE_TEIV), model="tiev")
+    assert main(["report", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "'tiev'" in err["message"]
+
+
+@pytest.mark.parametrize("name,value", [("mu_T", 0), ("alpha1", -0.1)])
+def test_params_value_the_dataclass_rejects_exits_2_naming_it(tmp_path, capsys, name, value):
+    doc = copy.deepcopy(BASE_TEIV)
+    doc["params"][name] = value
+    assert main(["report", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and f"parameter {name} must be" in err["message"]
 
 
 def test_config_rejects_model_functional_mismatch():
@@ -330,6 +347,31 @@ def test_cmd_simulate_artifacts_round_trip(tmp_path, capsys):
     assert 'stroke="blue"' in svg and 'stroke="red"' in svg
 
 
+def test_cmd_simulate_draws_a_flat_curve_inside_its_panel(tmp_path, capsys):
+    # from the disease-free point I, C and A stay exactly 0: each of their
+    # panels has ymax == ymin
+    with open(os.path.join(CONFIGS, "fig1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["initial_state"] = [745746.99, 0.0, 0.0, 0.0]
+    out_dir = str(tmp_path / "out")
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir]) == 0
+    header, cols = read_csv(os.path.join(out_dir, "trajectory_order_0.5.csv"))
+    assert all((cols[header.index(label)] == 0.0).all() for label in ("I", "C", "A"))
+    with open(os.path.join(out_dir, "states.svg"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    polylines = 0
+    for line in lines:
+        if line.startswith("<rect") and 'fill="none"' in line:
+            x, y, w, h = (float(line.split(f'{k}="')[1].split('"')[0])
+                          for k in ("x", "y", "width", "height"))
+        elif line.startswith("<polyline"):
+            polylines += 1
+            for point in line.split('points="')[1].split('"')[0].split():
+                px, py = map(float, point.split(","))
+                assert x <= px <= x + w and y <= py <= y + h, (point, x, y, w, h)
+    assert polylines == 16  # 4 state panels x 4 orders
+
+
 def test_cmd_simulate_fig2_writes_a_decimated_svg(tmp_path, capsys):
     # 16 curves of 5,001 nodes: 1.1 MB with every sample, about 124 KB with M4
     out_dir = str(tmp_path / "out")
@@ -351,8 +393,8 @@ def diverging_mass_action_config():
 
 
 def test_cmd_simulate_undershoot_removes_partial_outputs(tmp_path, capsys):
-    # read as mass action with a small beta, order 0.6 solves and is written,
-    # then order 0.5 undershoots below zero at node 2
+    # read as mass action with a small beta, order 0.6 solves, then order 0.5
+    # undershoots below zero at node 2: every solve runs before any write
     doc = copy.deepcopy(BASE_SICA)
     doc["params"]["incidence"] = "mass_action"
     doc["params"]["beta"] = 1e-5
@@ -364,7 +406,7 @@ def test_cmd_simulate_undershoot_removes_partial_outputs(tmp_path, capsys):
     code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir])
     assert code == 3
     assert json.loads(capsys.readouterr().out) == {"error": "undershoot", "node": 2, "order": 0.5}
-    assert os.listdir(out_dir) == []
+    assert not os.path.exists(out_dir)
 
 
 def test_cmd_simulate_removes_a_half_written_file(tmp_path, monkeypatch, capsys):
@@ -395,13 +437,32 @@ def test_os_error_on_an_output_path_exits_2_before_any_output(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("command", ["report", "simulate", "verify-lemma"])
+def test_grid_too_large_to_allocate_exits_2_and_creates_nothing(tmp_path, capsys, command):
+    # 10**15 steps ask for 7 PiB, more than any address space holds, so the
+    # first allocation fails at once
+    doc = dict(copy.deepcopy(BASE_TEIV), steps=10**15)
+    out_dir = tmp_path / "out"
+    extra = {
+        "report": [],
+        "simulate": ["--out", str(out_dir)],
+        "verify-lemma": ["--coordinate", "T", "--xbar", "23.3"],
+    }[command]
+    assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "MemoryError" and "Unable to allocate" in err["message"]
+    assert not out_dir.exists()
+
+
 def test_cmd_simulate_divergence_removes_partial_outputs(tmp_path, capsys):
     doc = diverging_mass_action_config()
     out_dir = str(tmp_path / "out")
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir])
     assert code == 3
-    assert os.listdir(out_dir) == []
+    assert not os.path.exists(out_dir)
     assert "divergence" in capsys.readouterr().out
 
 
@@ -418,6 +479,7 @@ def test_divergence_json_names_node_and_order(tmp_path, capsys, command):
         code = main([command, "--config", write_config(tmp_path, doc)] + extra)
     assert code == 3
     assert json.loads(capsys.readouterr().out) == {"error": "divergence", "node": 3, "order": 0.5}
+    assert not (tmp_path / "out").exists()
 
 
 def fig1_config(**params):
@@ -438,6 +500,7 @@ def test_undershoot_json_names_node_and_order(tmp_path, capsys, command):
     }[command]
     assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 3
     assert json.loads(capsys.readouterr().out) == {"error": "undershoot", "node": 2, "order": 0.5}
+    assert not (tmp_path / "out").exists()
 
 
 def test_undershoot_floor_scales_with_the_running_maximum(tmp_path, capsys):
@@ -528,6 +591,18 @@ def test_cmd_report_endemic_certified(tmp_path, capsys, monkeypatch):
     assert all(e["verdict"] == "endemic, certified" for e in out["per_order"])
     # the endemic point is solved once and anchors the functional too
     assert len(newton_calls) == 1
+
+
+def test_cmd_report_uncertified_order_exits_1(capsys, monkeypatch):
+    # a tolerance no derivative can meet at order 0.8 only; finite, so the JSON stays standard
+    tolerance = default_tolerance
+    monkeypatch.setattr("fracstab.cli.default_tolerance", lambda grid, order, V: (
+        -1e300 if order.alpha == 0.8 else tolerance(grid, order, V)))
+    assert main(["report", "--config", os.path.join(CONFIGS, "teiv_demo.json")]) == 1
+    per_order = json.loads(capsys.readouterr().out)["per_order"]
+    assert [e["verdict"] for e in per_order] == ["endemic, uncertified", "endemic, certified"]
+    assert per_order[0]["decrescence"]["pass"] is False
+    assert per_order[0]["decrescence"]["violating_node"] == 0
 
 
 def test_cmd_report_flags_mass_action_inconsistency(tmp_path, capsys):

@@ -115,3 +115,22 @@ def test_rhs_bit_identical_to_numpy_scalar_arithmetic(field, reference, params, 
         out = rhs(container(state.tolist()))
         assert type(out) is list and len(out) == 4 and all(type(v) is float for v in out)
         assert np.array_equal(out, reference(params, state))
+
+
+@pytest.mark.parametrize("name,params,r0", [
+    ("sica", sica.baseline_params(), 1.0 - 1e-7),
+    ("sica", sica.baseline_params(), 1.0 + 1e-7),
+    ("teiv", SAMPLE_PARAMS["teiv"], 1.0 + 1e-7),
+])
+def test_spectral_consistent_without_a_spectral_test_within_1e_6_of_r0_1(
+        monkeypatch, name, params, r0):
+    # R0 is proportional to beta in both models
+    spec = MODELS[name]
+    p = dataclasses.replace(params, beta=params.beta * r0 / spec.r0(params))
+    assert abs(spec.r0(p) - r0) < 1e-12
+
+    def no_jacobian(*args):
+        raise AssertionError("the spectral test ran")
+
+    monkeypatch.setattr("fracstab.models._fd_jacobian", no_jacobian)
+    assert spec.spectral_consistent(p) is True

@@ -10,6 +10,7 @@ from fracstab import (
     FractionalOrder,
     GFunction,
     NewtonError,
+    NoEndemicEquilibriumError,
     UniformGrid,
     identity_g,
     psi_profile,
@@ -128,6 +129,8 @@ def test_equilibria_single_below_threshold():
     p = demo_params(beta=0.0001)
     assert teiv.teiv_r0(p) < 1.0
     assert len(teiv.teiv_equilibria(p)) == 1
+    with pytest.raises(NoEndemicEquilibriumError, match="no chronic equilibrium"):
+        teiv.teiv_chronic(p)
 
 
 def test_chronic_equilibrium_positive_with_small_residual():

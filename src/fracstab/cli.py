@@ -1,9 +1,10 @@
 """Command-line front end: r0, simulate, verify-lemma, report.
 
 Exit codes: 0 all certificates pass, 1 a certificate fails,
-2 any other package error (configuration, domain, grid, equilibrium or
-Newton failure), an OS error on an output path or a grid too large to
-allocate (the JSON error goes to stderr), 3 a solve that diverges or undershoots, with
+2 a usage error (missing or malformed option, unknown command), any other
+package error (configuration, domain, grid, equilibrium or Newton failure),
+an OS error on an output path or a grid too large to allocate (the JSON
+error goes to stderr), 3 a solve that diverges or undershoots, with
 {"error": "divergence" | "undershoot", "node": k, "order": a} on stdout.
 """
 
@@ -14,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .config import ExperimentConfig, load_config
 from .csvio import write_csv
 from .errors import ConfigError, DivergenceError, FracstabError
 from .lyapunov import (
-    Certificate,
     GFunction,
     LyapunovFunctional,
     below_psi_floor,
@@ -148,50 +147,28 @@ def cmd_verify_lemma(cfg: ExperimentConfig, args) -> int:
     return EXIT_PASS if cert.passed else EXIT_CERT_FAIL
 
 
-@dataclass(frozen=True)
-class OrderEvidence:
-    """What one solved trajectory shows about its order: the decrescence
-    certificate of the functional and the approach to the target equilibrium.
+def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> dict:
+    """``report``'s entry for one solved order, without its verdict.
 
-    ``distances[k]`` is max_i |x_i(t_k) - target_i| / max(max_i |target_i|, 1).
-    """
-
-    trajectory: Trajectory
-    certificate: Certificate
-    distances: np.ndarray
-
-    @property
-    def final_relative_distance(self) -> float:
-        return float(self.distances[-1])
-
-    @property
-    def ball_entry_time(self) -> float | None:
-        """Time of the first node at a distance of at most 0.05; None if there is none."""
-        inside = np.flatnonzero(self.distances <= 0.05)
-        return float(self.trajectory.grid.times()[inside[0]]) if inside.size else None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.trajectory.order.alpha,
-            "decrescence": self.certificate.to_json_dict(),
-            "final_relative_distance": self.final_relative_distance,
-            "ball_entry_time_5pct": self.ball_entry_time,
-        }
-
-
-def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> OrderEvidence:
-    """The functional's L1 Caputo derivative along ``traj``, certified non-positive
-    up to ``default_tolerance`` of V, and the distances to ``target``.
-
-    ``caputo_of_functional`` and ``decrescence_certificate`` are looked up
-    here, on this module, so that a wrapper installed on either is the one
-    that runs.
+    "decrescence" certifies the functional's L1 Caputo derivative along ``traj``
+    non-positive up to ``default_tolerance`` of V.  With the distance at node k
+    max_i |x_i(t_k) - target_i| / max(max_i |target_i|, 1), "final_relative_distance"
+    is the last node's and "ball_entry_time_5pct" the time of the first node at a
+    distance of at most 0.05 (None if there is none).  ``caputo_of_functional``,
+    ``decrescence_certificate`` and ``default_tolerance`` are looked up here, on
+    this module, so that a wrapper installed on any of them is the one that runs.
     """
     V = functional.values_along(traj.states)
     dV = caputo_of_functional(V, traj)
     cert = decrescence_certificate(dV, default_tolerance(traj.grid, traj.order, V))
     dists = np.abs(traj.states - target).max(axis=1) / max(float(np.abs(target).max()), 1.0)
-    return OrderEvidence(traj, cert, dists)
+    inside = np.flatnonzero(dists <= 0.05)
+    return {
+        "order": traj.order.alpha,
+        "decrescence": cert.to_json_dict(),
+        "final_relative_distance": float(dists[-1]),
+        "ball_entry_time_5pct": float(traj.grid.times()[inside[0]]) if inside.size else None,
+    }
 
 
 def cmd_report(cfg: ExperimentConfig, args) -> int:
@@ -203,19 +180,12 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
     regime = "endemic" if spec.threshold(p) > 1.0 else "disease-free"
 
     per_order = []
-    all_certified = True
-    for order, traj in zip(cfg.orders, trajectories):
-        evidence = certify_order(functional, traj, target)
-        passed = evidence.certificate.passed
-        if not consistent:
-            verdict = f"{regime}, r0/spectral inconsistency"
-        elif passed:
-            verdict = f"{regime}, certified"
-        else:
-            verdict = f"{regime}, uncertified"
-        all_certified = all_certified and consistent and passed
+    for traj in trajectories:
+        entry = certify_order(functional, traj, target)
+        status = "certified" if entry["decrescence"]["pass"] else "uncertified"
+        verdict = f"{regime}, {status if consistent else 'r0/spectral inconsistency'}"
         # "order" stays the first key and "verdict" the second
-        per_order.append({"order": order.alpha, "verdict": verdict, **evidence.to_json_dict()})
+        per_order.append({"order": entry.pop("order"), "verdict": verdict, **entry})
 
     doc = {
         "model": cfg.model,
@@ -226,15 +196,23 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
         "per_order": per_order,
     }
     _emit(doc, args.out)
-    return EXIT_PASS if all_certified else EXIT_CERT_FAIL
+    certified = all(e["verdict"].endswith(", certified") for e in per_order)
+    return EXIT_PASS if certified else EXIT_CERT_FAIL
 
 
 COMMANDS = {"r0": cmd_r0, "simulate": cmd_simulate, "verify-lemma": cmd_verify_lemma,
             "report": cmd_report}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, for ``main`` to print as JSON, instead of exiting with text."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fracstab", description=__doc__)
+    ap = _Parser(prog="fracstab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name in COMMANDS:
@@ -253,13 +231,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return COMMANDS[args.command](load_config(args.config), args)
     except DivergenceError as exc:
         print(json.dumps({"error": exc.kind, "node": exc.node, "order": exc.order}))
         return EXIT_DIVERGENCE
-    except (FracstabError, OSError, MemoryError) as exc:
+    except (FracstabError, OSError, MemoryError, argparse.ArgumentError) as exc:
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG

@@ -94,13 +94,18 @@ class LyapunovFunctional:
         object.__setattr__(self, "anchor", tuple(map(float, self.anchor)))
 
     def values_along(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over a (n_nodes, dim) state array."""
+        """Vectorized evaluation over a (n_nodes, dim) state array.
+
+        A value too large for a float is inf, without a warning: the
+        finiteness check of ``l1_caputo`` reports it.
+        """
         states = np.asarray(states, dtype=float)
         total = np.zeros(states.shape[0])
-        for i, (a, xstar) in enumerate(zip(self.weights, self.anchor)):
-            total += a * psi_profile(identity_g(), xstar, states[:, i])
-        if self.cross_indices:
-            total += 0.5 * self.cross_weight * self._cross_deviation(states) ** 2
+        with np.errstate(over="ignore"):
+            for i, (a, xstar) in enumerate(zip(self.weights, self.anchor)):
+                total += a * psi_profile(identity_g(), xstar, states[:, i])
+            if self.cross_indices:
+                total += 0.5 * self.cross_weight * self._cross_deviation(states) ** 2
         return total
 
     def rate_along(self, states: np.ndarray, rates: np.ndarray) -> np.ndarray:

@@ -117,39 +117,42 @@ def solve_fde_abm(
     near_kernels = [reversed_kernels[:, n - m:] for m in range(_BLOCK)]
     spectra = {}
 
-    xs = np.empty((n + 1, model.dimension))
-    fs = np.empty_like(xs)
-    xs[0] = x0
-    fs[0] = f(x0.tolist())
-    # Until node k is computed, xs[k] and fs[k] hold x0 plus the scaled
-    # far-field predictor and corrector sums.  The corrector kernel gives
-    # node 0 the weight d2q[k-1] in place of start[k-1]; the difference
-    # starts in fs[k].
-    xs[1:] = x0
-    np.outer(cq * (start - d2q), fs[0], out=fs[1:])
-    fs[1:] += x0
-    del dp, d2q, start  # free before the FFTs, which set the peak memory
+    # inf and nan are the finiteness guard's to report, as a DivergenceError
+    # naming the node; numpy is not to warn about them on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.empty((n + 1, model.dimension))
+        fs = np.empty_like(xs)
+        xs[0] = x0
+        fs[0] = f(x0.tolist())
+        # Until node k is computed, xs[k] and fs[k] hold x0 plus the scaled
+        # far-field predictor and corrector sums.  The corrector kernel gives
+        # node 0 the weight d2q[k-1] in place of start[k-1]; the difference
+        # starts in fs[k].
+        xs[1:] = x0
+        np.outer(cq * (start - d2q), fs[0], out=fs[1:])
+        fs[1:] += x0
+        del dp, d2q, start  # free before the FFTs, which set the peak memory
 
-    for b in range(0, n + 1, _BLOCK):
-        if b:
-            _add_far_field(xs, fs, kernels, b, spectra)
-        end = min(b + _BLOCK, n + 1)
-        first = max(b, 1)
-        x_far = xs[first:end].tolist()
-        f_far = fs[first:end].tolist()
-        rows = []
-        for k, x_k, f_k in zip(range(first, end), x_far, f_far):
-            # Predictor near_p + x_k; corrector cq * f(pred) + (near_c + f_k).
-            near_p, near_c = np.dot(near_kernels[k - b], fs[b:k]).tolist()
-            pred = [p + s for p, s in zip(near_p, x_k)]
-            if not all(map(isfinite, pred)):
-                raise DivergenceError(k, alpha)
-            x = [v * cq + (c + s) for v, c, s in zip(f(pred), near_c, f_k)]
-            if not all(map(isfinite, x)):
-                raise DivergenceError(k, alpha)
-            rows.append(x)
-            fs[k] = f(x)
-        xs[first:end] = rows
+        for b in range(0, n + 1, _BLOCK):
+            if b:
+                _add_far_field(xs, fs, kernels, b, spectra)
+            end = min(b + _BLOCK, n + 1)
+            first = max(b, 1)
+            x_far = xs[first:end].tolist()
+            f_far = fs[first:end].tolist()
+            rows = []
+            for k, x_k, f_k in zip(range(first, end), x_far, f_far):
+                # Predictor near_p + x_k; corrector cq * f(pred) + (near_c + f_k).
+                near_p, near_c = np.dot(near_kernels[k - b], fs[b:k]).tolist()
+                pred = [p + s for p, s in zip(near_p, x_k)]
+                if not all(map(isfinite, pred)):
+                    raise DivergenceError(k, alpha)
+                x = [v * cq + (c + s) for v, c, s in zip(f(pred), near_c, f_k)]
+                if not all(map(isfinite, x)):
+                    raise DivergenceError(k, alpha)
+                rows.append(x)
+                fs[k] = f(x)
+            xs[first:end] = rows
 
     return Trajectory(grid, xs, order)
 

@@ -191,8 +191,9 @@ _FIGURE_EVIDENCE = {}
 
 
 def figure_evidence(beta, alpha):
-    """``certify_order`` of the figure solve at (beta, alpha): V1 at the endemic
-    equilibrium above the threshold, V0 at the disease-free one otherwise."""
+    """The figure solve at (beta, alpha), its target, and their ``certify_order``
+    entry: V1 at the endemic equilibrium above the threshold, V0 at the
+    disease-free one otherwise."""
     key = (beta, alpha)
     if key not in _FIGURE_EVIDENCE:
         p = sica.baseline_params(beta=beta)
@@ -200,31 +201,36 @@ def figure_evidence(beta, alpha):
         target = sica.sica_endemic(p) if endemic else sica.sica_disease_free(p)
         functional = sica.sica_v1(p, target)  # V0 at the disease-free point
         traj = solve_fde_abm(sica.sica_model(p), FractionalOrder(alpha), FIG_INITIAL, FIG_GRID)
-        _FIGURE_EVIDENCE[key] = certify_order(functional, traj, target)
+        _FIGURE_EVIDENCE[key] = traj, target, certify_order(functional, traj, target)
     return _FIGURE_EVIDENCE[key]
 
 
 def run_figure_experiment(beta, ball):
     lines, ok = [], True
     for alpha in FIG_ORDERS:
-        evidence = figure_evidence(beta, alpha)
-        passed = evidence.certificate.passed
-        tail = evidence.distances[FIG_GRID.n_steps // 2:]
+        traj, target, entry = figure_evidence(beta, alpha)
+        passed = entry["decrescence"]["pass"]
+        # the per-node distance series, recomputed as the benchmark's checks do
+        scale = max(float(np.abs(target).max()), 1.0)
+        distances = np.abs(traj.states - target).max(axis=1) / scale
+        dist = entry["final_relative_distance"]
+        agrees = float(distances[-1]) == dist
+        tail = distances[FIG_GRID.n_steps // 2:]
         rise = float(np.diff(tail).max())
         approaching = rise < ROUNDING_FLOOR and (tail[-1] < tail[0] or tail[0] < ROUNDING_FLOOR)
-        dist = evidence.final_relative_distance
         if alpha in BALL_ORDERS:
             in_ball = dist <= ball
             ball_note = f"({'<=' if in_ball else '>'} {ball})"
         else:
             in_ball = True
             ball_note = f"(ball {ball} reported, not asserted: t^(-alpha) tail)"
-        ok = ok and passed and approaching and in_ball
+        ok = ok and passed and agrees and approaching and in_ball
         lines.append(
             f"theta={alpha}: decrescence {'ok' if passed else 'VIOLATED'}, "
             f"approach on [T/2, T] {'monotone' if approaching else 'NOT monotone'} "
             f"(largest node-to-node change {rise:.1e}, rise floor {ROUNDING_FLOOR:.0e}), "
             f"final distance {dist:.4f} {ball_note}"
+            + ("" if agrees else f", but the trajectory ends at distance {distances[-1]!r}")
         )
     return ok, "; ".join(lines)
 
@@ -272,7 +278,7 @@ def test_criterion_10_teiv_property_suite():
         x0 = chronic * np.array([1.3, 0.7, 1.2, 0.8])
         for alpha in (0.8, 1.0):
             traj = solve_fde_abm(model, FractionalOrder(alpha), x0, grid)
-            cert_failures += 0 if certify_order(L, traj, chronic).certificate.passed else 1
+            cert_failures += 0 if certify_order(L, traj, chronic)["decrescence"]["pass"] else 1
 
     spectral_failures = 0
     checked = 0
@@ -298,7 +304,8 @@ def test_criterion_11_figure_shape_note():
     # that smaller derivative orders converge faster is reported via the
     # 5%-ball entry time in the report command, never asserted, and indeed
     # the measured entry times do not support it at long horizons.
-    entries = {alpha: figure_evidence(0.066, alpha).ball_entry_time for alpha in (0.7, 1.0)}
+    entries = {alpha: figure_evidence(0.066, alpha)[2]["ball_entry_time_5pct"]
+               for alpha in (0.7, 1.0)}
     reported = all(v is None or v > 0 for v in entries.values())
     verdict(11, reported, "figure replication out of scope by agreement; "
             f"5%-ball entry times reported (not asserted): {entries}")

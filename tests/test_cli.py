@@ -12,6 +12,8 @@ from fracstab import (
     NewtonError,
     Trajectory,
     UniformGrid,
+    caputo_of_functional,
+    decrescence_certificate,
     default_tolerance,
     solve_fde_abm,
 )
@@ -459,8 +461,7 @@ def test_grid_too_large_to_allocate_exits_2_and_creates_nothing(tmp_path, capsys
 def test_cmd_simulate_divergence_removes_partial_outputs(tmp_path, capsys):
     doc = diverging_mass_action_config()
     out_dir = str(tmp_path / "out")
-    with np.errstate(all="ignore"):
-        code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir])
+    code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", out_dir])
     assert code == 3
     assert not os.path.exists(out_dir)
     assert "divergence" in capsys.readouterr().out
@@ -475,10 +476,36 @@ def test_divergence_json_names_node_and_order(tmp_path, capsys, command):
         "simulate": ["--out", str(tmp_path / "out")],
         "verify-lemma": ["--coordinate", "S", "--xbar", "1.0"],
     }[command]
-    with np.errstate(all="ignore"):
-        code = main([command, "--config", write_config(tmp_path, doc)] + extra)
+    code = main([command, "--config", write_config(tmp_path, doc)] + extra)
     assert code == 3
     assert json.loads(capsys.readouterr().out) == {"error": "divergence", "node": 3, "order": 0.5}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "simulate"])
+def test_diverging_solve_prints_only_its_json(tmp_path, capsys, command):
+    # inf reaches the near-field history sum at node 65 of order 0.2; the
+    # finiteness guard reports that node, and numpy warns of nothing (a
+    # RuntimeWarning would escape main here, as warnings are errors)
+    doc = {
+        "model": "sica",
+        "params": {"lambda_": 287.93937144974944, "mu": 0.23383192334306496,
+                   "beta": 41.86276748043872, "rho": 9.989618506529423,
+                   "phi": 0.4100995727518101, "alpha_t": 0.005256563600471007,
+                   "omega": 0.006607089833277681, "d": 0.4919489377203808,
+                   "incidence": "standard"},
+        "orders": [0.2, 0.335, 0.602],
+        "initial_state": [10.480535359849316, 305.5357827123813, 1688831.745012575,
+                          3.4358868442902057],
+        "t_end": 0.0033228662579858482,
+        "steps": 200,
+        "functionals": ["v1"],
+    }
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, "--config", write_config(tmp_path, doc)] + extra) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "divergence", "node": 65, "order": 0.2}
+    assert captured.err == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -638,59 +665,82 @@ def test_cmd_report_per_order_is_certify_order_plus_verdict(tmp_path, capsys):
     grid = UniformGrid(0.0, cfg.t_end / cfg.steps, cfg.steps)
     for order, entry in zip(cfg.orders, doc["per_order"]):
         traj = solve_fde_abm(cfg.spec.model(cfg.params), order, cfg.initial_state, grid)
-        evidence = certify_order(functional, traj, target).to_json_dict()
+        assert list(entry)[:2] == ["order", "verdict"]
         assert entry.pop("verdict") == "disease-free, certified"
-        assert entry == json.loads(json.dumps(evidence))
+        assert entry == json.loads(json.dumps(certify_order(functional, traj, target)))
 
 
 # ---------------------------------------------------------------- per-order evidence
 
 def hand_built(states, target, h=0.5, alpha=0.9):
     """A trajectory through given states, a log-Volterra functional at ``target``,
-    and their ``certify_order``."""
+    and their ``certify_order`` entry."""
     states = np.asarray(states, dtype=float)
     traj = Trajectory(UniformGrid(0.0, h, len(states) - 1), states, FractionalOrder(alpha))
     functional = LyapunovFunctional((1.0,) * len(target), target)
     return traj, functional, certify_order(functional, traj, target)
 
 
+def decrescence_of(functional, traj):
+    """The decrescence certificate that ``certify_order`` should report."""
+    V = functional.values_along(traj.states)
+    tolerance = default_tolerance(traj.grid, traj.order, V)
+    return decrescence_certificate(caputo_of_functional(V, traj), tolerance).to_json_dict()
+
+
 def test_certify_order_ball_entry_is_the_first_node_within_5pct():
     # distances over max|target| = 20: 0.5, 0.1, 0.05 (on the boundary), 0.025, 0.075
-    traj, functional, evidence = hand_built(
+    traj, functional, entry = hand_built(
         [[10.0, 30.0], [12.0, 21.0], [10.0, 19.0], [10.5, 20.0], [10.0, 21.5]], [10.0, 20.0])
-    assert evidence.distances.tolist() == [0.5, 0.1, 0.05, 0.025, 0.075]
-    assert evidence.ball_entry_time == 1.0
-    assert evidence.final_relative_distance == 0.075
-    V = functional.values_along(traj.states)
-    assert V.max() > 1.0
-    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, V)
-    doc = evidence.to_json_dict()
-    assert list(doc) == ["order", "decrescence", "final_relative_distance", "ball_entry_time_5pct"]
-    assert doc["order"] == 0.9 and doc["ball_entry_time_5pct"] == 1.0
-    assert doc["decrescence"] == evidence.certificate.to_json_dict()
+    assert list(entry) == ["order", "decrescence", "final_relative_distance", "ball_entry_time_5pct"]
+    assert entry["order"] == 0.9
+    assert entry["ball_entry_time_5pct"] == 1.0
+    assert entry["final_relative_distance"] == 0.075
+    assert functional.values_along(traj.states).max() > 1.0
+    assert entry["decrescence"] == decrescence_of(functional, traj)
 
 
 def test_certify_order_no_entry_time_outside_the_ball():
-    _, _, evidence = hand_built([[10.0, 30.0], [10.0, 25.0], [10.0, 21.5]], [10.0, 20.0])
-    assert evidence.distances.tolist() == [0.5, 0.25, 0.075]
-    assert evidence.ball_entry_time is None
-    assert evidence.to_json_dict()["ball_entry_time_5pct"] is None
-    assert evidence.final_relative_distance == 0.075
+    # distances 0.5, 0.25, 0.075
+    _, _, entry = hand_built([[10.0, 30.0], [10.0, 25.0], [10.0, 21.5]], [10.0, 20.0])
+    assert entry["ball_entry_time_5pct"] is None
+    assert entry["final_relative_distance"] == 0.075
 
 
 def test_certify_order_small_target_is_normalised_by_one():
-    # max|target| = 0.5 < 1: distances are absolute, not doubled
-    traj, functional, evidence = hand_built([[0.5, 0.375], [0.5, 0.25]], [0.5, 0.25])
-    assert evidence.distances.tolist() == [0.125, 0.0]
-    assert evidence.ball_entry_time == traj.grid.h
-    V = functional.values_along(traj.states)
-    assert V.max() < 1.0  # so the tolerance scale is 1
-    assert evidence.certificate.tolerance == default_tolerance(traj.grid, traj.order, V)
-    assert evidence.certificate.tolerance == 10.0 * traj.grid.h ** (2.0 - traj.order.alpha)
+    # max|target| = 0.5 < 1: distances 0.125, 0.03125 are absolute; doubled, the
+    # second would be 0.0625, outside the ball
+    traj, functional, entry = hand_built([[0.5, 0.375], [0.5, 0.28125]], [0.5, 0.25])
+    assert entry["final_relative_distance"] == 0.03125
+    assert entry["ball_entry_time_5pct"] == traj.grid.h
+    assert functional.values_along(traj.states).max() < 1.0  # so the tolerance scale is 1
+    assert entry["decrescence"] == decrescence_of(functional, traj)
+    assert entry["decrescence"]["tolerance"] == 10.0 * traj.grid.h ** (2.0 - traj.order.alpha)
 
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["report"], "the following arguments are required: --config"),
+    (["verify-lemma", "--config", "c.json", "--coordinate", "S", "--xbar", "abc"],
+     "argument --xbar: invalid float value: 'abc'"),
+    (["frobnicate", "--config", "c.json"], "argument command: invalid choice: 'frobnicate'"),
+], ids=["no_config", "malformed_xbar", "unknown_command"])
+def test_usage_error_exits_2_with_json_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ArgumentError" and err["message"].startswith(message)
+
+
+def test_help_still_exits_0_with_text(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["report", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fracstab report")
 
 
 def test_non_utf8_config_exits_2_with_json_error(tmp_path, capsys):

@@ -151,7 +151,6 @@ def solve_or_node(model, x0, grid):
         return exc.node
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("model,x0,grid,diverges", [
     (sica.sica_model(sica.baseline_params(0.866)),
      [596597.568, 74574.696, 37287.348, 37287.348], UniformGrid(0.0, 0.4, 700), False),
@@ -213,7 +212,6 @@ def test_far_field_transfer_bit_identical_to_per_column_transfer(e, n_nodes):
     assert len(spectra) == 1 and next(iter(spectra.values())) is cached
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_reports_node():
     blow_up = ModelDefinition(
         dimension=1, rhs=lambda u: [v * v * v for v in u], name="cubic_growth", state_labels=("u",)

@@ -378,8 +378,8 @@ def test_decrescence_along_trajectory_at_chronic_anchor():
     x0 = chronic * np.array([1.3, 0.7, 1.2, 0.8])
     for alpha in (0.8, 1.0):
         traj = solve_fde_abm(model, FractionalOrder(alpha), x0, grid)
-        cert = certify_order(L, traj, chronic).certificate
-        assert cert.passed, (alpha, cert.max_violation, cert.tolerance)
+        cert = certify_order(L, traj, chronic)["decrescence"]
+        assert cert["pass"], (alpha, cert["max_violation"], cert["tolerance"])
 
 
 # ---------------------------------------------------------------- spectral threshold

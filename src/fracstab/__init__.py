@@ -25,7 +25,6 @@ from .errors import (
     NoEndemicEquilibriumError,
 )
 from .lyapunov import (
-    Certificate,
     GFunction,
     LyapunovFunctional,
     caputo_of_functional,
@@ -45,7 +44,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate",
     "ConfigError",
     "ContractError",
     "DivergenceError",

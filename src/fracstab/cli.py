@@ -143,8 +143,8 @@ def cmd_verify_lemma(cfg: ExperimentConfig, args) -> int:
     (traj,) = _solve_orders(cfg, model, [order], [np.eye(model.dimension)[idx] * args.xbar])
     signal = SampledSignal(traj.grid, traj.component(idx))
     cert = lemma_certificate(signal, _G_REGISTRY[args.g], args.xbar, order)
-    _emit(cert.to_json_dict(), args.out)
-    return EXIT_PASS if cert.passed else EXIT_CERT_FAIL
+    _emit(cert, args.out)
+    return EXIT_PASS if cert["pass"] else EXIT_CERT_FAIL
 
 
 def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> dict:
@@ -165,7 +165,7 @@ def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> d
     inside = np.flatnonzero(dists <= 0.05)
     return {
         "order": traj.order.alpha,
-        "decrescence": cert.to_json_dict(),
+        "decrescence": cert,
         "final_relative_distance": float(dists[-1]),
         "ball_entry_time_5pct": float(traj.grid.times()[inside[0]]) if inside.size else None,
     }

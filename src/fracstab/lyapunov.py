@@ -7,18 +7,19 @@ The anchored component
 takes any g non-negative and strictly increasing.  A functional is its
 weights and its anchor: a weighted sum of identity-g components, the
 log-Volterra form, plus an optional quadratic over a sum of coordinates.
-Certificates check, along sampled signals, the fractional comparison
-inequality
+Two checks along sampled signals, the fractional comparison inequality
 
     D^alpha psi(x(t))  <=  (1 - g(xbar)/g(x(t))) D^alpha x(t)
 
-and the decrescence of a discrete Caputo-derivative signal.
+and the decrescence of a discrete Caputo-derivative signal, each return
+their certificate as the plain dict the CLI prints: kind, max_violation,
+tolerance, pass, violating_node, grid {t0, h, n}, and order for the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -130,33 +131,6 @@ class LyapunovFunctional:
         return sum(states[:, i] - self.anchor[i] for i in self.cross_indices)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of a pointwise inequality check along a sampled signal."""
-
-    kind: str
-    max_violation: float
-    tolerance: float
-    passed: bool
-    violating_node: Optional[int] = None
-    grid: Optional[UniformGrid] = None
-    order: Optional[FractionalOrder] = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "violating_node": self.violating_node,
-        }
-        if self.grid is not None:
-            out["grid"] = {"t0": self.grid.t0, "h": self.grid.h, "n": self.grid.n_steps}
-        if self.order is not None:
-            out["order"] = self.order.alpha
-        return out
-
-
 def below_psi_floor(xs) -> np.ndarray:
     """Where psi with a positive anchor is singular: a mask of the entries below its floor."""
     return np.asarray(xs, dtype=float) < _X_FLOOR
@@ -228,9 +202,7 @@ def default_tolerance(grid: UniformGrid, order: FractionalOrder, values: np.ndar
     return 10.0 * grid.h ** (2.0 - order.alpha) * max(float(np.abs(values).max()), 1.0)
 
 
-def lemma_certificate(
-    x: SampledSignal, g: GFunction, xbar: float, order: FractionalOrder
-) -> Certificate:
+def lemma_certificate(x: SampledSignal, g: GFunction, xbar: float, order: FractionalOrder) -> dict:
     """Certify D^alpha psi(x) <= (1 - g(xbar)/g(x)) D^alpha x along a signal.
 
     Both sides are discretized with the same L1 operator; the reported
@@ -247,16 +219,25 @@ def lemma_certificate(
     return _certificate("lemma_inequality", lhs[1:] - rhs[1:], tolerance, 1, x.grid, order)
 
 
-def decrescence_certificate(signal: SampledSignal, tolerance: float) -> Certificate:
+def decrescence_certificate(signal: SampledSignal, tolerance: float) -> dict:
     """Certify that every node of the signal lies at or below the tolerance."""
     return _certificate("decrescence", signal.values, tolerance, 0, signal.grid)
 
 
-def _certificate(kind, gap, tolerance, offset, grid, order=None) -> Certificate:
-    """The largest entry of ``gap``, whether it is at most ``tolerance``, and
-    the first entry above it, as a node number: its index plus ``offset``."""
+def _certificate(kind, gap, tolerance, offset, grid, order=None) -> dict:
+    """The printed certificate: the largest entry of ``gap``, whether it is at
+    most ``tolerance``, the first entry above it as a node number (its index
+    plus ``offset``, None if there is none), the grid, and the order if given."""
     max_violation = float(gap.max())
     passed = max_violation <= tolerance
-    violating = None if passed else int(np.argmax(gap > tolerance)) + offset
-    return Certificate(kind, max_violation, tolerance, passed, violating, grid, order)
-
+    cert = {
+        "kind": kind,
+        "max_violation": max_violation,
+        "tolerance": tolerance,
+        "pass": passed,
+        "violating_node": None if passed else int(np.argmax(gap > tolerance)) + offset,
+        "grid": {"t0": grid.t0, "h": grid.h, "n": grid.n_steps},
+    }
+    if order is not None:
+        cert["order"] = order.alpha
+    return cert

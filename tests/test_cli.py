@@ -538,6 +538,10 @@ def test_undershoot_floor_scales_with_the_running_maximum(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"error": "undershoot", "node": 7, "order": 0.5}
 
 
+# the printed key order of both certificates; "order" follows for the lemma's
+CERTIFICATE_KEYS = ["kind", "max_violation", "tolerance", "pass", "violating_node", "grid"]
+
+
 def test_cmd_verify_lemma_pass(tmp_path, capsys):
     out_file = str(tmp_path / "cert.json")
     code = main([
@@ -548,6 +552,8 @@ def test_cmd_verify_lemma_pass(tmp_path, capsys):
     assert code == 0
     with open(out_file, encoding="utf-8") as fh:
         doc = json.load(fh)
+    assert json.loads(capsys.readouterr().out) == doc
+    assert list(doc) == [*CERTIFICATE_KEYS, "order"]
     assert doc["pass"] is True
     assert doc["kind"] == "lemma_inequality"
 
@@ -597,6 +603,7 @@ def test_cmd_report_disease_free_certified(tmp_path, capsys):
     for entry in doc["per_order"]:
         assert entry["verdict"] == "disease-free, certified"
         assert "ball_entry_time_5pct" in entry
+        assert list(entry["decrescence"]) == CERTIFICATE_KEYS
 
 
 def test_cmd_report_endemic_certified(tmp_path, capsys, monkeypatch):
@@ -685,7 +692,7 @@ def decrescence_of(functional, traj):
     """The decrescence certificate that ``certify_order`` should report."""
     V = functional.values_along(traj.states)
     tolerance = default_tolerance(traj.grid, traj.order, V)
-    return decrescence_certificate(caputo_of_functional(V, traj), tolerance).to_json_dict()
+    return decrescence_certificate(caputo_of_functional(V, traj), tolerance)
 
 
 def test_certify_order_ball_entry_is_the_first_node_within_5pct():

@@ -254,16 +254,16 @@ def test_lemma_certificate_passes_on_smooth_signals():
     for alpha in (0.3, 0.6, 0.9):
         sig = smooth_positive_signal(rng, grid)
         cert = lemma_certificate(sig, identity_g(), 2.0, FractionalOrder(alpha))
-        assert cert.passed, cert.max_violation
-        assert cert.kind == "lemma_inequality"
+        assert cert["pass"], cert["max_violation"]
+        assert cert["kind"] == "lemma_inequality"
 
 
 def test_lemma_certificate_constant_signal_zero_violation():
     grid = UniformGrid(0.0, 0.01, 50)
     sig = SampledSignal(grid, np.full(51, 3.0))
     cert = lemma_certificate(sig, identity_g(), 1.5, FractionalOrder(0.5))
-    assert cert.passed
-    assert cert.max_violation == pytest.approx(0.0, abs=1e-12)
+    assert cert["pass"]
+    assert cert["max_violation"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lemma_certificate_domain_errors():
@@ -291,19 +291,20 @@ def test_decrescence_certificate_pass_and_fail():
     grid = UniformGrid(0.0, 0.1, 4)
     ok = SampledSignal(grid, np.array([-1.0, -2.0, -0.5, -0.1, -0.3]))
     cert = decrescence_certificate(ok, 1e-6)
-    assert cert.passed and cert.violating_node is None
+    assert cert["pass"] and cert["violating_node"] is None
 
     spike = SampledSignal(grid, np.array([-1.0, -2.0, 0.5, -0.1, -0.3]))
     cert = decrescence_certificate(spike, 1e-6)
-    assert not cert.passed
-    assert cert.violating_node == 2
-    assert cert.max_violation == pytest.approx(0.5)
+    assert not cert["pass"]
+    assert cert["violating_node"] == 2
+    assert cert["max_violation"] == pytest.approx(0.5)
 
 
 def test_certificate_json_shape():
     grid = UniformGrid(0.0, 0.1, 4)
     sig = SampledSignal(grid, -np.ones(5))
-    doc = decrescence_certificate(sig, 0.0).to_json_dict()
+    doc = decrescence_certificate(sig, 0.0)
+    assert list(doc) == ["kind", "max_violation", "tolerance", "pass", "violating_node", "grid"]
     assert doc["kind"] == "decrescence"
     assert doc["pass"] is True
     assert doc["grid"] == {"t0": 0.0, "h": 0.1, "n": 4}

@@ -27,6 +27,21 @@ def _number(value, name: str):
     return value
 
 
+def _json_number(value, name: str):
+    """``_number(value, name)`` where ``value`` must also be a JSON number, not
+    a string that ``float`` would parse."""
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return _number(value, name)
+
+
+def _array(value, name: str) -> list:
+    """``value`` itself, which must be a JSON array: ``tuple`` would split a string."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
 def _spec_of(model: str) -> ModelSpec:
     if model not in MODELS:
         raise ConfigError(f"model must be one of {tuple(MODELS)}, got {model!r}")
@@ -97,11 +112,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         return ExperimentConfig(
             model=model,
             params=spec.params(**{k: _number(v, f"params.{k}") for k, v in doc["params"].items()}),
-            orders=tuple(FractionalOrder(_number(a, "orders")) for a in doc["orders"]),
-            initial_state=tuple(float(_number(x, "initial_state")) for x in doc["initial_state"]),
-            t_end=float(_number(doc["t_end"], "t_end")),
+            orders=tuple(FractionalOrder(_json_number(a, "orders"))
+                         for a in _array(doc["orders"], "orders")),
+            initial_state=tuple(float(_json_number(x, "initial_state"))
+                                for x in _array(doc["initial_state"], "initial_state")),
+            t_end=float(_json_number(doc["t_end"], "t_end")),
             steps=steps,
-            functionals=tuple(doc.get("functionals", ())),
+            functionals=tuple(_array(doc.get("functionals", []), "functionals")),
         )
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc

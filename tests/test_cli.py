@@ -770,6 +770,12 @@ def test_non_utf8_config_exits_2_with_json_error(tmp_path, capsys):
     ("steps", 100.7),
     ("steps", float("inf")),
     ("params", []),
+    ("initial_state", "1234"),
+    ("initial_state", ["596597.568", 74574.696, 37287.348, 37287.348]),
+    ("t_end", "2000"),
+    ("orders", "1"),
+    ("orders", ["0.5"]),
+    ("functionals", "v0"),
 ])
 def test_mistyped_config_value_exits_2_with_json_error(tmp_path, capsys, field, value):
     doc = copy.deepcopy(BASE_SICA)

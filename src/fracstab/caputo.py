@@ -129,6 +129,5 @@ def adams_tables(order: FractionalOrder, n_steps: int):
     alpha = order.alpha
     p = np.arange(n_steps + 1, dtype=float) ** alpha
     q = np.arange(n_steps + 2, dtype=float) ** (alpha + 1.0)
-    start = np.fromiter(((k - 1) ** (alpha + 1.0) - (k - 1 - alpha) * k ** alpha
-                         for k in range(1, n_steps + 1)), float, n_steps)
+    start = q[:-2] - (np.arange(n_steps) - alpha) * p[1:]
     return np.diff(p), q[2:] + q[:-2] - 2.0 * q[1:-1], start

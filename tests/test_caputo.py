@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_abm_weights_classical_limit_trapezoid():
     # corrector weights of nodes 0, 1, 2 and of the predicted node 3
     weights = np.array([start[2], d2q[1], d2q[0], 1.0]) * h / math.gamma(3.0)
     np.testing.assert_allclose(weights, [h / 2, h, h, h / 2])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+def test_abm_start_weights_match_a_40_digit_reference(alpha):
+    # start[j] = j^(a+1) - (j - a)(j+1)^a cancels two terms of size j^(a+1)
+    # to about a(a+1)/2 j^(a-1), so each term's few ulps grow by j^2
+    n = 400
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a = Decimal(alpha)
+        ref = np.array([float(Decimal(j) ** (a + 1) - (Decimal(j) - a) * Decimal(j + 1) ** a)
+                        for j in range(n)])
+    _, _, start = adams_tables(FractionalOrder(alpha), n)
+    bound = 16 * np.finfo(float).eps * np.arange(1, n + 1) ** 2 / (alpha * (alpha + 1))
+    assert (np.abs(start - ref) <= bound * ref).all()
 
 
 def test_abm_corrector_weights_positive():

@@ -68,7 +68,7 @@ class SampledSignal:
                 f"signal length {v.size} does not match grid node count {self.grid.n_nodes}"
             )
         if not np.isfinite(v).all():
-            raise GridError("signal contains non-finite values")
+            raise GridError(f"signal is not finite at node {np.argmin(np.isfinite(v))}")
         object.__setattr__(self, "values", v)
 
 

@@ -1,8 +1,8 @@
-"""Experiment configuration: strict JSON parsing.
-
-Unknown fields are hard errors — a silently ignored typo in a rate name
-would invalidate every certificate downstream.
-"""
+"""Experiment configuration: strict JSON parsing, by one rule read from the
+dataclass fields of the config and of its model's params: no field unknown,
+none without a default missing, and each value of the JSON type that its
+annotation stands for, read as that type.  A silently ignored typo, or a
+rate that only looks like a number, would invalidate every certificate."""
 
 from __future__ import annotations
 
@@ -11,35 +11,41 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from .caputo import FractionalOrder
-from .errors import ConfigError, ContractError, FracstabError
+from .errors import ConfigError, ContractError
 from .models import MODELS, ModelSpec
 
+_JSON_TYPES = {"float": ("number", (int, float)), "int": ("number", (int, float)),
+               "str": ("string", str), "tuple": ("array", list), "object": ("object", dict)}
 
-def _number(value, name: str):
-    """``value`` itself, unless it is a JSON boolean, which Python counts as
-    the integer 0 or 1 but the schema does not count as a number, or one of
-    the non-finite numbers ``NaN``, ``Infinity`` and ``-Infinity``, which
-    Python's json reads but no rate, order, time or state can be."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got the boolean {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
+
+def _json_value(value, annotation, name: str):
+    """``value`` converted to the type of the field annotation ``annotation``
+    (a class, or its name under postponed evaluation).  It must be of the
+    JSON type that the annotation stands for, or a ``ConfigError`` names
+    ``name``: no number is a boolean (Python's 0 or 1), ``NaN``, ``Infinity``
+    or an integer too large for a float, and an ``int`` is integral.  Any
+    other annotation is a ``ContractError``."""
+    kind = getattr(annotation, "__name__", annotation)
+    if kind not in _JSON_TYPES:
+        raise ContractError(f"{name} is annotated {kind!r}, which stands for no JSON type")
+    label, cls = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, cls):
+        got = f"the boolean {json.dumps(value)}" if isinstance(value, bool) else json.dumps(value)
+        raise ConfigError(f"{name} must be a JSON {label}, got {got}")
+    if label != "number":
+        return value
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, got an integer too large "
+                          "for a float") from None
+    if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
-    return value
-
-
-def _json_number(value, name: str):
-    """``_number(value, name)`` where ``value`` must also be a JSON number, not
-    a string that ``float`` would parse."""
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a JSON number, got {json.dumps(value)}")
-    return _number(value, name)
-
-
-def _array(value, name: str) -> list:
-    """``value`` itself, which must be a JSON array: ``tuple`` would split a string."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a JSON array, got {json.dumps(value)}")
-    return value
+    if kind == "float":
+        return x
+    if not x.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def _spec_of(model: str) -> ModelSpec:
@@ -87,9 +93,10 @@ class ExperimentConfig:
         return MODELS[self.model]
 
 
-def _check_object(doc, cls: type, name: str) -> None:
-    """``doc`` must be a JSON object with no field unknown to the dataclass
-    ``cls`` and none of the fields that have no default missing."""
+def _json_fields(doc, cls: type, name: str, prefix: str = "") -> dict:
+    """The fields of the dataclass ``cls`` that the JSON object ``doc`` sets, each
+    read by ``_json_value`` as ``prefix`` + field; none may be unknown, nor any
+    without a default missing."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(cls)}
@@ -98,34 +105,22 @@ def _check_object(doc, cls: type, name: str) -> None:
     missing = {f.name for f in fields(cls) if f.default is MISSING} - set(doc)
     if missing:
         raise ConfigError(f"missing {name} fields: {sorted(missing)}")
+    return {f.name: _json_value(doc[f.name], f.type, prefix + f.name)
+            for f in fields(cls) if f.name in doc}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    _check_object(doc, ExperimentConfig, "config")
-    model = doc["model"]
+    top = _json_fields(doc, ExperimentConfig, "config")
+    spec = _spec_of(top["model"])
+    params = _json_fields(top["params"], spec.params, "params", "params.")
+    for name, kind in (("orders", float), ("initial_state", float), ("functionals", str)):
+        if name in top:
+            top[name] = tuple(_json_value(x, kind, f"{name}[{i}]") for i, x in enumerate(top[name]))
     try:
-        spec = _spec_of(model)
-        _check_object(doc["params"], spec.params, "params")
-        steps = int(_number(doc["steps"], "steps"))
-        if steps != doc["steps"]:  # a fraction or a string, not truncated
-            raise ConfigError(f"steps must be an integer, got {doc['steps']!r}")
-        return ExperimentConfig(
-            model=model,
-            params=spec.params(**{k: _number(v, f"params.{k}") for k, v in doc["params"].items()}),
-            orders=tuple(FractionalOrder(_json_number(a, "orders"))
-                         for a in _array(doc["orders"], "orders")),
-            initial_state=tuple(float(_json_number(x, "initial_state"))
-                                for x in _array(doc["initial_state"], "initial_state")),
-            t_end=float(_json_number(doc["t_end"], "t_end")),
-            steps=steps,
-            functionals=tuple(_array(doc.get("functionals", []), "functionals")),
-        )
+        return ExperimentConfig(**dict(top, params=spec.params(**params),
+                                       orders=tuple(map(FractionalOrder, top["orders"]))))
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
-    except FracstabError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"mistyped config value: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -138,5 +133,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: byte {exc.start}: {exc.reason}") from exc
+    except ValueError as exc:  # valid JSON that Python refuses: an integer of over 4,300 digits
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(doc)
 

@@ -56,6 +56,13 @@ def test_signal_length_must_match_grid():
         SampledSignal(grid, np.array([0.0, 1.0, np.nan, 2.0]))
 
 
+def test_signal_names_its_first_non_finite_node():
+    grid = UniformGrid(t0=0.0, h=0.1, n_steps=6)
+    values = np.array([0.0, 1.0, 2.0, np.inf, np.nan, -np.inf, 3.0])
+    with pytest.raises(GridError, match=r"^signal is not finite at node 3$"):
+        SampledSignal(grid, values)
+
+
 # ---------------------------------------------------------------- L1 operator
 
 def test_l1_constant_signal_has_zero_derivative():

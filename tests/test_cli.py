@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 
@@ -18,9 +19,9 @@ from fracstab import (
     solve_fde_abm,
 )
 from fracstab.cli import certify_order, main
-from fracstab.config import config_from_dict, load_config
+from fracstab.config import ExperimentConfig, config_from_dict, load_config
 from fracstab.csvio import write_csv
-from fracstab.models import sica
+from fracstab.models import MODELS, sica
 from fracstab.svgplot import plot_panels
 
 BASE_SICA = {
@@ -827,6 +828,66 @@ def test_non_finite_config_number_exits_2_with_json_error(tmp_path, capsys, comm
     assert err["error"] == "ConfigError"
     assert "finite" in err["message"] and json.dumps(value) in err["message"]
     assert not out_dir.exists()
+
+
+def _wrong_json_types():
+    """(base, path, value, id) for each field of the config, the first item of
+    each of its arrays and each field of every registered model's params, set to
+    values of each JSON type that the field's value in a valid config is not."""
+    bases = {"sica": BASE_SICA, "teiv": BASE_TEIV}
+    paths = [(BASE_SICA, (f.name,)) for f in dataclasses.fields(ExperimentConfig)]
+    paths += [(BASE_SICA, (name, 0)) for name in ("orders", "initial_state", "functionals")]
+    paths += [(bases[model], ("params", f.name))
+              for model, spec in MODELS.items() for f in dataclasses.fields(spec.params)]
+    cases = []
+    for base, path in paths:
+        valid = base
+        for key in path:
+            valid = valid[key]
+        if isinstance(valid, (int, float)):
+            wrong = {"numeric_string": str(valid), "big_integer": 10**400}
+        else:
+            wrong = {"number": 1} if isinstance(valid, str) else {"numeric_string": "1"}
+        wrong.update(boolean=True, nested_array=[[1.0]], null=None)
+        name = f"{path[0]}[0]" if path[1:] == (0,) else ".".join(path)
+        cases += [pytest.param(base, path, value, name, id=f"{base['model']}:{name}:{kind}")
+                  for kind, value in wrong.items()]
+    return cases
+
+
+@pytest.mark.parametrize("base,path,value,name", _wrong_json_types())
+def test_every_field_of_a_wrong_json_type_exits_2_naming_it(tmp_path, capsys, base, path, value,
+                                                            name):
+    doc = copy.deepcopy(base)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert main(["r0", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(name), err["message"]
+
+
+def test_config_numbers_take_the_types_of_their_fields(tmp_path):
+    # integer rates of 300 digits, passed on as ints, overflowed in TEIV's
+    # integer arithmetic and escaped main as an OverflowError (exit 1)
+    doc = dict(copy.deepcopy(BASE_TEIV), t_end=100, steps=200.0)
+    doc["params"].update(lambda_=10**300, k=10**300, beta=10**300)
+    cfg = config_from_dict(doc)
+    assert {type(cfg.params.lambda_), type(cfg.params.beta), type(cfg.t_end)} == {float}
+    assert type(cfg.steps) is int and cfg.steps == 200
+    assert main(["r0", "--config", write_config(tmp_path, doc)]) in (0, 2)
+
+
+def test_a_config_integer_python_refuses_to_read_exits_2(tmp_path, capsys):
+    # json.load raises a plain ValueError on an integer of over 4,300 digits
+    text = json.dumps(BASE_SICA).replace('"t_end": 50.0', '"t_end": ' + "1" * 5000)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["r0", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
 
 
 def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):

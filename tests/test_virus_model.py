@@ -12,6 +12,7 @@ the model owns its state count.
 """
 
 import copy
+import dataclasses
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fracstab import LyapunovFunctional, ModelDefinition, NoEndemicEquilibriumError
+from fracstab import (ContractError, LyapunovFunctional, ModelDefinition,
+                      NoEndemicEquilibriumError)
 from fracstab.cli import main
+from fracstab.config import config_from_dict
 from fracstab.models import MODELS, ModelSpec
 from fracstab.newton import require_equilibrium
 
@@ -108,7 +111,7 @@ def virus(monkeypatch, tmp_path):
         doc = copy.deepcopy(CONFIG)
         doc["params"]["beta"] = beta
         doc.update(top)
-        path = tmp_path / f"virus_{beta:g}_{len(doc['initial_state'])}.json"
+        path = tmp_path / f"virus_{beta}_{len(doc['initial_state'])}.json"
         path.write_text(json.dumps(doc))
         return str(path)
 
@@ -153,3 +156,22 @@ def test_config_holds_the_initial_state_to_three_components(virus, capsys, initi
     assert main(["r0", "--config", virus(initial_state=initial_state)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ConfigError", "message": "initial_state must have 3 components"}
+
+
+@pytest.mark.parametrize("command", ["r0", "report"])
+def test_a_string_rate_exits_2_naming_it(virus, capsys, command):
+    # the JSON type of each rate comes from VirusParams' own annotations:
+    # config.py holds no code for this model
+    assert main([command, "--config", virus("0.004")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": 'params.beta must be a JSON number, got "0.004"'}
+
+
+@pytest.mark.parametrize("annotation", [list, "list"], ids=["class", "name"])
+def test_a_params_annotation_with_no_json_type_is_a_contract_error(monkeypatch, annotation):
+    params = dataclasses.make_dataclass("ListParams", [("rates", annotation)], frozen=True)
+    monkeypatch.setitem(MODELS, "virus", dataclasses.replace(VIRUS, params=params))
+    doc = dict(CONFIG, params={"rates": [1.0]})
+    with pytest.raises(ContractError, match=r"^params\.rates is annotated 'list', which stands "
+                                            "for no JSON type$"):
+        config_from_dict(doc)

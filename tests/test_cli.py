@@ -831,7 +831,7 @@ def test_non_finite_config_number_exits_2_with_json_error(tmp_path, capsys, comm
 
 
 def _wrong_json_types():
-    """(base, path, value, id) for each field of the config, the first item of
+    """(base, path, value, name) cases for each field of the config, the first item of
     each of its arrays and each field of every registered model's params, set to
     values of each JSON type that the field's value in a valid config is not."""
     bases = {"sica": BASE_SICA, "teiv": BASE_TEIV}

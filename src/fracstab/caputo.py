@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,8 +73,12 @@ class SampledSignal:
         object.__setattr__(self, "values", v)
 
 
+@lru_cache(maxsize=128)
 def fft_size(m: int) -> int:
-    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT transforms fast."""
+    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT transforms fast.
+
+    Memoised: a solve asks for the same few sizes at each of its
+    far-field transfers."""
     best = 1 << (m - 1).bit_length()
     p5 = 1
     while p5 < best:

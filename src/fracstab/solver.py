@@ -2,7 +2,9 @@
 
 ``solve_fde_abm`` is the fractional Adams-Bashforth-Moulton
 predictor-corrector: one corrector pass, exact full memory, block-FFT
-history sums, O(N log^2 N).  The Grunwald-Letnikov and classical RK4
+history sums, O(N log^2 N).  A step is one product of a stencil row with
+its block's work matrix, which gives both the predictor and the corrector
+base, plus two rhs calls.  The Grunwald-Letnikov and classical RK4
 solvers that cross-check it live with the tests, in ``tests/oracles.py``.
 
 The rhs contract: a model's rhs takes the state as a list of d Python
@@ -81,6 +83,20 @@ def _check_x0(model: ModelDefinition, x0) -> np.ndarray:
 _BLOCK = 64
 
 
+def _stencils(kernels: np.ndarray) -> list:
+    """The ``_BLOCK`` stencil rows of a block's work matrix, as (2, 3 _BLOCK)
+    arrays.  Row o gives node b + o's predictor (row 0) and corrector base
+    (row 1): the reversed kernels on the rhs at nodes b..b + o - 1, and a
+    weight of 1 on node b + o's far-field predictor and corrector sums."""
+    table = np.zeros((_BLOCK, 2, 3 * _BLOCK))
+    for o in range(1, min(_BLOCK, kernels.shape[1] + 1)):
+        table[o, :, :o] = kernels[:, o - 1::-1]
+    node = np.arange(_BLOCK)
+    table[node, 0, _BLOCK + node] = 1.0
+    table[node, 1, 2 * _BLOCK + node] = 1.0
+    return list(table)
+
+
 def solve_fde_abm(
     model: ModelDefinition,
     order: FractionalOrder,
@@ -92,13 +108,16 @@ def solve_fde_abm(
     Exact full memory, block-FFT history sums, O(N log^2 N).  With node
     0's corrector weight folded in up front, the predictor and corrector
     history sums at node k are Toeplitz sums over the rhs at nodes 0..k-1.
-    Sources in the current block of ``_BLOCK`` nodes are summed directly;
-    older ones were added by FFT at block boundaries (``_add_far_field``,
-    after Hairer, Lubich & Schlichte 1985) to the rows of ``xs`` and
-    ``fs`` that are not yet computed.  A step is one ``np.dot`` for the
-    near field, two rhs calls and Python-float arithmetic for the rest;
-    the far-field rows of a block are read as lists once, and its computed
-    states are written to ``xs`` once, at the end of the block.
+    Sources older than the current block of ``_BLOCK`` nodes are added by
+    FFT at block boundaries (``_add_far_field``, after Hairer, Lubich &
+    Schlichte 1985) to the rows of ``xs`` and ``fs`` that are not yet
+    computed.  Each block then gets a work matrix of 3 ``_BLOCK`` rows:
+    the rhs at the block's computed nodes (zero until computed), and the
+    far-field predictor and corrector sums of its nodes.  Node b + o's
+    predictor and corrector base are one product of stencil row o with
+    that matrix; the rest of a step is two rhs calls and Python-float
+    arithmetic.  The block's states and rhs rows are written to ``xs``
+    and ``fs`` once, at its end.
     """
     x0 = _check_x0(model, x0)
     alpha = order.alpha
@@ -110,11 +129,10 @@ def solve_fde_abm(
     cp = ha / (alpha * gamma(alpha))
     cq = ha / gamma(alpha + 2.0)
     dp, d2q, start = adams_tables(order, n)
-    # Scaled predictor (row 0) and corrector (row 1) kernels, reversed: the
-    # weights of the m nodes before node k are the last m columns.
-    reversed_kernels = np.stack([cp * dp[::-1], cq * d2q[::-1]])
-    kernels = reversed_kernels[:, ::-1]
-    near_kernels = [reversed_kernels[:, n - m:] for m in range(_BLOCK)]
+    # Scaled predictor (row 0) and corrector (row 1) kernels: entry i
+    # weights the rhs i nodes before node k - 1.
+    kernels = np.stack([cp * dp, cq * d2q])
+    stencils = _stencils(kernels)
     spectra = {}
 
     # inf and nan are the finiteness guard's to report, as a DivergenceError
@@ -133,26 +151,35 @@ def solve_fde_abm(
         fs[1:] += x0
         del dp, d2q, start  # free before the FFTs, which set the peak memory
 
+        work = np.empty((3 * _BLOCK, model.dimension))
+        bases = np.empty((2, model.dimension))
         for b in range(0, n + 1, _BLOCK):
             if b:
                 _add_far_field(xs, fs, kernels, b, spectra)
             end = min(b + _BLOCK, n + 1)
             first = max(b, 1)
-            x_far = xs[first:end].tolist()
-            f_far = fs[first:end].tolist()
+            # Rows a stencil weights 0 must be finite (0 * nan is nan): the
+            # rhs rows of nodes not yet computed, and the far rows past the
+            # last node, start at 0.
+            work.fill(0.0)
+            work[:first - b] = fs[b:first]  # node 0's rhs, in the first block
+            work[_BLOCK:_BLOCK + end - b] = xs[b:end]
+            work[2 * _BLOCK:2 * _BLOCK + end - b] = fs[b:end]
             rows = []
-            for k, x_k, f_k in zip(range(first, end), x_far, f_far):
-                # Predictor near_p + x_k; corrector cq * f(pred) + (near_c + f_k).
-                near_p, near_c = np.dot(near_kernels[k - b], fs[b:k]).tolist()
-                pred = [p + s for p, s in zip(near_p, x_k)]
-                if not all(map(isfinite, pred)):
+            for k, stencil in zip(range(first, end), stencils[first - b:end - b]):
+                # Predictor pred; corrector cq * f(pred) + base.  A finite
+                # sum clears a guard; only a sum that is not finite (which
+                # a finite state can overflow to) tests each value.
+                pred, base = stencil.dot(work, bases).tolist()
+                if not isfinite(sum(pred)) and not all(map(isfinite, pred)):
                     raise DivergenceError(k, alpha)
-                x = [v * cq + (c + s) for v, c, s in zip(f(pred), near_c, f_k)]
-                if not all(map(isfinite, x)):
+                x = [v * cq + c for v, c in zip(f(pred), base)]
+                if not isfinite(sum(x)) and not all(map(isfinite, x)):
                     raise DivergenceError(k, alpha)
                 rows.append(x)
-                fs[k] = f(x)
+                work[k - b] = f(x)
             xs[first:end] = rows
+            fs[first:end] = work[first - b:end - b]
 
     return Trajectory(grid, xs, order)
 

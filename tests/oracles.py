@@ -24,7 +24,7 @@ from fracstab.caputo import adams_tables, fft_size
 from fracstab.errors import NewtonError
 from fracstab.lyapunov import _X_FLOOR
 from fracstab.models.teiv import teiv_incidence
-from fracstab.solver import _BLOCK
+from fracstab.solver import _BLOCK, _stencils
 
 
 def _check_positive_x(x: float, xstar: float) -> None:
@@ -156,9 +156,11 @@ def per_column_far_field(xs, fs, kernels, e):
 
 
 def solve_fde_abm_stepwise(model, order: FractionalOrder, x0, grid) -> Trajectory:
-    """``solve_fde_abm`` one node at a time on ndarray rows: each step reads
-    and writes its rows of ``xs`` and ``fs`` in place, and the far field is
-    added per column.  The same arithmetic in the same order, so the same
+    """``solve_fde_abm`` one node at a time on ndarray rows: each step
+    assembles its own work matrix from the rows of ``xs`` and ``fs`` at
+    that node, reads and writes those rows in place, and the far field is
+    added per column.  The same stencil row against the same values in
+    the rows it weights, and the same Python-float corrector, so the same
     trajectory and the same ``DivergenceError`` node, bit for bit."""
     x0 = np.asarray(x0, dtype=float)
     alpha, h, n = order.alpha, grid.h, grid.n_steps
@@ -167,8 +169,8 @@ def solve_fde_abm_stepwise(model, order: FractionalOrder, x0, grid) -> Trajector
     cp = ha / (alpha * math.gamma(alpha))
     cq = ha / math.gamma(alpha + 2.0)
     dp, d2q, start = adams_tables(order, n)
-    reversed_kernels = np.stack([cp * dp[::-1], cq * d2q[::-1]])
-    near_kernels = [reversed_kernels[:, n - m:] for m in range(_BLOCK)]
+    kernels = np.stack([cp * dp, cq * d2q])
+    stencils = _stencils(kernels)
 
     xs = np.empty((n + 1, model.dimension))
     fs = np.empty_like(xs)
@@ -179,15 +181,18 @@ def solve_fde_abm_stepwise(model, order: FractionalOrder, x0, grid) -> Trajector
     fs[1:] += x0
 
     for k in range(1, n + 1):
-        m = k % _BLOCK
-        if m == 0:
-            per_column_far_field(xs, fs, reversed_kernels[:, ::-1], k)
-        near = np.dot(near_kernels[m], fs[k - m:k])
-        pred = near[0]
-        pred += xs[k]
-        if not all(map(math.isfinite, pred.tolist())):
+        o = k % _BLOCK
+        if o == 0:
+            per_column_far_field(xs, fs, kernels, k)
+        # the rhs at the block's computed nodes, then node k's far-field sums
+        work = np.zeros((3 * _BLOCK, model.dimension))
+        work[:o] = fs[k - o:k]
+        work[_BLOCK + o] = xs[k]
+        work[2 * _BLOCK + o] = fs[k]
+        pred, base = np.dot(stencils[o], work)
+        if not np.isfinite(pred).all():
             raise DivergenceError(k, alpha)
-        x = [v * cq + (c + s) for v, c, s in zip(f(pred.tolist()), near[1].tolist(), fs[k].tolist())]
+        x = [v * cq + c for v, c in zip(f(pred.tolist()), base.tolist())]
         if not all(map(math.isfinite, x)):
             raise DivergenceError(k, alpha)
         xs[k] = x

@@ -222,11 +222,14 @@ def test_divergence_reports_node():
     assert 1 <= err.value.node <= 50
 
 
-@pytest.mark.parametrize("call,node", [(2 * 70 - 1, 70), (2 * 70, 71)],
-                         ids=["corrector_guard", "predictor_guard"])
+@pytest.mark.parametrize("call,node", [
+    (2 * 70 - 1, 70), (2 * 70, 71), (0, 1), (2 * 63, 64), (2 * 128 - 1, 128),
+], ids=["corrector_guard", "predictor_guard", "rhs_at_x0", "first_node_after_a_transfer",
+        "corrector_at_a_block_start"])
 def test_nan_rhs_reports_its_node(call, node):
     # call 0 is f(x0); step k calls f(pred) (call 2k - 1), then f(x_k)
-    # (call 2k), whose value the predictor of node k + 1 reads
+    # (call 2k), whose value the predictor of node k + 1 reads.  Nodes 64
+    # and 128 start blocks: a far-field transfer and a fresh work matrix
     calls = []
 
     def rhs(u):
@@ -237,6 +240,14 @@ def test_nan_rhs_reports_its_node(call, node):
     with pytest.raises(DivergenceError) as err:
         solve_fde_abm(model, FractionalOrder(0.7), [1.0, 2.0], UniformGrid(0.0, 0.01, 200))
     assert err.value.node == node
+
+
+def test_finite_state_whose_sum_overflows_is_no_divergence():
+    # x0 sums to inf in floats, but every component is finite: the guard's
+    # overflowing sum must fall back to testing each component
+    model = ModelDefinition(2, lambda u: [0.0, 0.0], "zero_field", ("x", "y"))
+    traj = solve_fde_abm(model, FractionalOrder(0.7), [1e308, 1e308], UniformGrid(0.0, 0.01, 200))
+    assert np.array_equal(traj.states, np.full((201, 2), 1e308))
 
 
 def test_rhs_never_sees_a_non_finite_state():

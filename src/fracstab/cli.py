@@ -1,10 +1,11 @@
 """Command-line front end: r0, simulate, verify-lemma, report.
 
-Exit codes: 0 all certificates pass, 1 a certificate fails,
-2 a usage error (missing or malformed option, unknown command), any other
-package error (configuration, domain, grid, equilibrium or Newton failure),
-an OS error on an output path or a grid too large to allocate (the JSON
-error goes to stderr), 3 a solve that diverges or undershoots, with
+Exit codes: 0 all certificates pass, 1 a certificate fails or (report)
+the threshold disagrees with the free equilibrium's spectrum, 2 a usage
+error (missing or malformed option, unknown command), any other package
+error (configuration, domain, grid, equilibrium or Newton failure), an OS
+error on an output path or a grid too large to allocate (the JSON error
+goes to stderr), 3 a solve that diverges or undershoots, with
 {"error": "divergence" | "undershoot", "node": k, "order": a} on stdout.
 """
 
@@ -183,9 +184,8 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
     for traj in trajectories:
         entry = certify_order(functional, traj, target)
         status = "certified" if entry["decrescence"]["pass"] else "uncertified"
-        verdict = f"{regime}, {status if consistent else 'r0/spectral inconsistency'}"
         # "order" stays the first key and "verdict" the second
-        per_order.append({"order": entry.pop("order"), "verdict": verdict, **entry})
+        per_order.append({"order": entry.pop("order"), "verdict": f"{regime}, {status}", **entry})
 
     doc = {
         "model": cfg.model,
@@ -196,7 +196,7 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
         "per_order": per_order,
     }
     _emit(doc, args.out)
-    certified = all(e["verdict"].endswith(", certified") for e in per_order)
+    certified = consistent and all(e["decrescence"]["pass"] for e in per_order)
     return EXIT_PASS if certified else EXIT_CERT_FAIL
 
 

@@ -19,17 +19,24 @@ tolerance, pass, violating_node, grid {t0, h, n}, and order for the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .caputo import FractionalOrder, SampledSignal, UniformGrid, l1_caputo
 from .errors import ContractError, DomainError
 from .solver import Trajectory
 
 _X_FLOOR = 1e-30  # below this, psi with a positive anchor is treated as singular
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(12)
+
+
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    """The 12-point Gauss-Legendre nodes and weights, built at the first
+    quadrature, so that only a non-identity g imports numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -162,11 +169,12 @@ def psi_profile(g: GFunction, xstar: float, xs: np.ndarray) -> np.ndarray:
     knots = np.unique(np.concatenate([xs, [xstar]]))
     gbar = g(xstar)
     # Per-segment Gauss-Legendre integral of gbar/g over [knots[i], knots[i+1]].
+    nodes, weights = _gauss_rule()
     left, right = knots[:-1], knots[1:]
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)
-    pts = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    seg = half * ((gbar / g(pts)) @ _GAUSS_WEIGHTS)
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    seg = half * ((gbar / g(pts)) @ weights)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     anchor_pos = np.searchsorted(knots, xstar)
     integral_at_knot = cum - cum[anchor_pos]

@@ -12,11 +12,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..newton import _fd_jacobian
+from ..errors import NoEndemicEquilibriumError
+from ..newton import jacobian
 from . import sica, teiv
 
-# R0 within this distance of 1 counts as consistent without a spectral test.
-_R0_MARGIN = 1e-6
+# A threshold within this distance of 1 counts as consistent without a spectral test.
+_THRESHOLD_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -26,13 +27,14 @@ class ModelSpec:
     params: type                  # frozen params dataclass
     functionals: dict             # functional kind -> anchor: "free", "endemic" or "predicted"
     model: Callable               # params -> ModelDefinition
-    r0: Callable                  # params -> reproduction number
-    threshold: Callable           # params -> persistence threshold (endemic above 1)
+    r0: Callable                  # params -> reproduction number (printed; decides nothing)
+    threshold: Callable           # params -> persistence threshold: endemic above 1, the
+                                  # one number that decides the regime
     free: Callable                # params -> disease-free equilibrium; its zero
                                   # components are the infected subsystem
-    endemic: Callable             # params -> endemic equilibrium; raises below threshold 1
+    endemic: Callable             # params -> endemic equilibrium; raises
+                                  # NoEndemicEquilibriumError at threshold <= 1
     functional_at: Callable       # (params, equilibrium) -> LyapunovFunctional anchored there
-    r0_document: Callable         # params -> dict printed by the r0 command
 
     def predicted(self, params) -> np.ndarray:
         """The equilibrium the threshold predicts: endemic above 1, free otherwise."""
@@ -43,22 +45,32 @@ class ModelSpec:
         return getattr(self, self.functionals[kind])(params)
 
     def spectral_consistent(self, params) -> bool:
-        """Whether R0 < 1 agrees with linear stability of the free equilibrium.
+        """Whether threshold < 1 agrees with linear stability of the free equilibrium.
 
         The stability test takes the eigenvalues of the rhs Jacobian (central
         differences) restricted to the components that are zero at the free
-        equilibrium, so it checks the R0 formula against the vector field
-        itself.  Parameters within 1e-6 of R0 = 1 count as consistent (the
-        spectral test is not meaningful there).
+        equilibrium, so it checks the threshold formula against the vector
+        field itself.  Parameters within 1e-6 of threshold 1 count as
+        consistent (the spectral test is not meaningful there).
         """
-        r0 = self.r0(params)
-        if abs(r0 - 1.0) <= _R0_MARGIN:
+        threshold = self.threshold(params)
+        if abs(threshold - 1.0) <= _THRESHOLD_MARGIN:
             return True
         free = self.free(params)
         infected = np.flatnonzero(free == 0.0)
-        jac = _fd_jacobian(self.model(params).rhs, free)[np.ix_(infected, infected)]
+        jac = jacobian(self.model(params).rhs, free)[np.ix_(infected, infected)]
         eigs = np.linalg.eigvals(jac)
-        return bool((eigs.real < 0).all()) == (r0 < 1.0)
+        return bool((eigs.real < 0).all()) == (threshold < 1.0)
+
+    def r0_document(self, params) -> dict:
+        """What the r0 command prints after the model name: r0, the threshold
+        and both equilibria, the endemic one None where it does not exist."""
+        try:
+            endemic = list(self.endemic(params))
+        except NoEndemicEquilibriumError:
+            endemic = None
+        return {"r0": self.r0(params), "threshold": self.threshold(params),
+                "free": list(self.free(params)), "endemic": endemic}
 
 
 MODELS: dict[str, ModelSpec] = {
@@ -71,7 +83,6 @@ MODELS: dict[str, ModelSpec] = {
         free=lambda p: sica.sica_disease_free(p),
         endemic=lambda p: sica.sica_endemic(p),
         functional_at=lambda p, eq: sica.sica_v1(p, eq),
-        r0_document=lambda p: sica.sica_r0_document(p),
     ),
     "teiv": ModelSpec(
         params=teiv.TeivParams,
@@ -82,6 +93,5 @@ MODELS: dict[str, ModelSpec] = {
         free=lambda p: teiv.teiv_infection_free(p),
         endemic=lambda p: teiv.teiv_chronic(p),
         functional_at=lambda p, eq: teiv.teiv_lyapunov(p, eq),
-        r0_document=lambda p: teiv.teiv_r0_document(p),
     ),
 }

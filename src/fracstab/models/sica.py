@@ -154,20 +154,6 @@ def sica_endemic(p: SicaParams) -> np.ndarray:
     return damped_newton(sica_field(p), _endemic_seed(p))
 
 
-def sica_r0_document(p: SicaParams) -> dict:
-    """Reproduction number, threshold and equilibria, as the r0 command prints them."""
-    doc = {
-        "r0": sica_r0(p),
-        "endemic_threshold": endemic_threshold(p),
-        "disease_free": list(sica_disease_free(p)),
-    }
-    try:
-        doc["endemic"] = list(sica_endemic(p))
-    except NoEndemicEquilibriumError:
-        doc["endemic"] = None
-    return doc
-
-
 def sica_v1(p: SicaParams, anchor) -> LyapunovFunctional:
     """Log-Volterra functional anchored at an equilibrium.
 

@@ -174,16 +174,6 @@ def teiv_chronic(p: TeivParams) -> np.ndarray:
     return eqs[1]
 
 
-def teiv_r0_document(p: TeivParams) -> dict:
-    """Reproduction number and equilibria, as the r0 command prints them."""
-    eqs = teiv_equilibria(p)
-    return {
-        "r0": teiv_r0(p),
-        "infection_free": list(eqs[0]),
-        "chronic": list(eqs[1]) if len(eqs) > 1 else None,
-    }
-
-
 def teiv_lyapunov(p: TeivParams, anchor) -> LyapunovFunctional:
     """Volterra-type functional anchored at an equilibrium (Tbar, Ebar, Ibar, Vbar).
 

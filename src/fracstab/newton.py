@@ -15,7 +15,7 @@ _RESIDUAL_TOL = 1e-9    # accepted max |f(x)|, relative to max(|x|, 1)
 _ANCHOR_TOL = 1e-6      # the same, for the anchor of a Lyapunov functional
 
 
-def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
+def jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian at the float ndarray ``x`` of ``f``, an rhs:
     it takes a list of Python floats and may return any float sequence."""
     n = x.size
@@ -46,7 +46,7 @@ def damped_newton(f: Callable, x0) -> np.ndarray:
     fx = residual(x)
     for _ in range(_MAX_ITER):
         try:
-            delta = np.linalg.solve(_fd_jacobian(f, x), -fx)
+            delta = np.linalg.solve(jacobian(f, x), -fx)
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular Jacobian at {x}") from exc
 

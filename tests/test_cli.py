@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fracstab import (
 from fracstab.cli import certify_order, main
 from fracstab.config import ExperimentConfig, config_from_dict, load_config
 from fracstab.csvio import write_csv
-from fracstab.models import MODELS, sica
+from fracstab.models import MODELS, ModelSpec, sica
 from fracstab.svgplot import plot_panels
 
 BASE_SICA = {
@@ -312,7 +313,7 @@ def test_cmd_r0_baseline(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["r0"] == pytest.approx(0.2900, abs=5e-4)
     assert doc["endemic"] is None
-    assert doc["disease_free"][0] == pytest.approx(7.4575e5, rel=1e-4)
+    assert doc["free"][0] == pytest.approx(7.4575e5, rel=1e-4)
 
 
 def test_cmd_r0_teiv(tmp_path, capsys):
@@ -320,7 +321,7 @@ def test_cmd_r0_teiv(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["r0"] == pytest.approx(3.0303, abs=1e-3)
-    assert doc["chronic"] is not None
+    assert doc["endemic"] is not None
 
 
 def test_cmd_simulate_artifacts_round_trip(tmp_path, capsys):
@@ -640,19 +641,50 @@ def test_cmd_report_uncertified_order_exits_1(capsys, monkeypatch):
     assert per_order[0]["decrescence"]["violating_node"] == 0
 
 
-def test_cmd_report_flags_mass_action_inconsistency(tmp_path, capsys):
-    doc = copy.deepcopy(BASE_SICA)
+def mass_action_fig2(tmp_path, threshold=2.0):
+    """fig2 read as mass action, with beta scaled to the given threshold, on 500 steps to T = 200."""
+    with open(os.path.join(CONFIGS, "fig2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     doc["params"]["incidence"] = "mass_action"
-    # keep the horizon tiny: read literally as mass action, the calibrated
-    # transmission coefficient makes the disease-free point violently
-    # unstable, which is exactly the inconsistency being flagged
-    doc["steps"] = 50
-    doc["t_end"] = 1e-4
-    code = main(["report", "--config", write_config(tmp_path, doc)])
-    assert code == 1
+    p = sica.SicaParams(**doc["params"])
+    doc["params"]["beta"] = p.beta * threshold / sica.endemic_threshold(p)
+    doc["steps"], doc["t_end"] = 500, 200.0
+    return write_config(tmp_path, doc, "mass_action_fig2.json")
+
+
+def test_cmd_report_certifies_mass_action_above_its_threshold(tmp_path, capsys):
+    # r0 is 2.7e-6 here: the threshold, not r0, decides persistence and consistency
+    code = main(["report", "--config", mass_action_fig2(tmp_path)])
     out = json.loads(capsys.readouterr().out)
-    assert out["r0_spectral_consistent"] is False
-    assert all("inconsistency" in e["verdict"] for e in out["per_order"])
+    assert out["r0"] < 1e-5 and out["r0_spectral_consistent"] is True
+    assert [e["verdict"] for e in out["per_order"]] == ["endemic, certified"] * 4
+    assert code == 0
+
+
+def test_a_consistency_check_on_r0_fails_mass_action_above_its_threshold(
+        tmp_path, capsys, monkeypatch):
+    # the check as it stood before the threshold decided it: r0 in the threshold's place
+    check = ModelSpec.spectral_consistent
+    monkeypatch.setattr(ModelSpec, "spectral_consistent",
+                        lambda spec, p: check(dataclasses.replace(spec, threshold=spec.r0), p))
+    with pytest.raises(AssertionError):
+        test_cmd_report_certifies_mass_action_above_its_threshold(tmp_path, capsys)
+
+
+def test_cmd_report_flags_a_field_that_disagrees_with_the_threshold(tmp_path, capsys, monkeypatch):
+    # threshold 0.9, but a transmission term 1.2x the published one makes the
+    # free point unstable: report's own spectral test must see it and exit 1
+    doc = copy.deepcopy(BASE_SICA)
+    p = sica.SicaParams(**doc["params"])
+    doc["params"]["beta"] = p.beta * 0.9 / sica.endemic_threshold(p)
+    field = sica.sica_field
+    monkeypatch.setattr(sica, "sica_field",
+                        lambda q: field(dataclasses.replace(q, beta=1.2 * q.beta)))
+    code = main(["report", "--config", write_config(tmp_path, doc)])
+    out = json.loads(capsys.readouterr().out)
+    assert out["regime"] == "disease-free" and out["r0_spectral_consistent"] is False
+    assert all(re.fullmatch(r"disease-free, (un)?certified", e["verdict"]) for e in out["per_order"])
+    assert code == 1
 
 
 def test_cmd_report_rejects_an_anchor_that_is_not_an_equilibrium(capsys, monkeypatch):

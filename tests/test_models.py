@@ -10,6 +10,7 @@ from fracstab import ConfigError
 from fracstab.cli import main
 from fracstab.config import ExperimentConfig, config_from_dict
 from fracstab.models import MODELS, sica, teiv
+from test_virus_model import CONFIG as VIRUS_CONFIG, VIRUS
 
 SCHEMA = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "schema.json")
 
@@ -52,6 +53,37 @@ def test_initial_state_count_is_the_models_own(name, extra, tmp_path, capsys):
     assert main(["r0", "--config", str(path)]) == 2
     message = f"initial_state must have {count} components"
     assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+
+
+# every registered model, SICA at both incidences, and the test-registered virus model
+R0_CASES = {
+    "sica_standard": ("sica", sica.baseline_params()),
+    "sica_mass_action": ("sica", SAMPLE_PARAMS["sica"]),
+    "teiv": ("teiv", SAMPLE_PARAMS["teiv"]),
+    "virus": ("virus", VIRUS.params(**VIRUS_CONFIG["params"])),
+}
+
+
+@pytest.mark.parametrize("threshold", [0.5, 2.0])
+@pytest.mark.parametrize("case", sorted(R0_CASES))
+def test_r0_document_is_one_form_with_endemic_null_at_threshold_1_or_below(
+        case, threshold, tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(MODELS, "virus", VIRUS)
+    name, params = R0_CASES[case]
+    spec = MODELS[name]
+    # the threshold is proportional to beta in every model
+    p = dataclasses.replace(params, beta=params.beta * threshold / spec.threshold(params))
+    count = len(spec.model(p).state_labels)
+    doc = dict(config_document(name, dataclasses.asdict(p)), initial_state=[1.0] * count)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["r0", "--config", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["model", "r0", "threshold", "free", "endemic"]
+    assert out["threshold"] == pytest.approx(threshold, rel=1e-12)
+    assert len(out["free"]) == count
+    assert (out["endemic"] is None) == (out["threshold"] <= 1.0)
+    assert out["endemic"] is None or (len(out["endemic"]) == count and min(out["endemic"]) > 0)
 
 
 def test_schema_enums_match_registry():
@@ -132,5 +164,5 @@ def test_spectral_consistent_without_a_spectral_test_within_1e_6_of_r0_1(
     def no_jacobian(*args):
         raise AssertionError("the spectral test ran")
 
-    monkeypatch.setattr("fracstab.models._fd_jacobian", no_jacobian)
+    monkeypatch.setattr("fracstab.models.jacobian", no_jacobian)
     assert spec.spectral_consistent(p) is True

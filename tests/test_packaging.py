@@ -36,18 +36,37 @@ def test_runtime_imports_match_declared_dependencies():
     assert third_party_imports() == declared
 
 
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter, with src on its path, from the repository root."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_run_loads_no_scipy():
     # a fresh interpreter: the test session itself imports scipy for the oracles
-    script = (
+    run = run_fresh(
         "import sys\n"
         "import fracstab.cli as cli\n"
         "code = cli.main(['report', '--config', 'configs/teiv_demo.json'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "sys.exit(code)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_leaves_numpy_polynomial_to_the_first_quadrature():
+    # only psi_profile with a non-identity g uses the Gauss-Legendre rule
+    run = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import fracstab.cli\n"
+        "from fracstab.lyapunov import GFunction, psi_profile\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "psi_profile(GFunction(np.sqrt, 'sqrt'), 2.0, np.array([1.0, 3.0]))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]

@@ -256,13 +256,14 @@ def test_r0_threshold_matches_linearized_stability():
         checked += 1
 
 
-def test_mass_action_baseline_is_spectrally_inconsistent():
+def test_mass_action_baseline_threshold_agrees_with_the_spectrum():
     # the transmission coefficient is calibrated for standard incidence;
     # read literally as mass action it destabilizes the disease-free point
-    # even though the reported reproduction number is far below one
+    # while the published r0 stays far below one: the threshold, r0 S0,
+    # is above one, and it is the threshold that the spectral test checks
     p = baseline(incidence="mass_action")
-    assert sica.sica_r0(p) < 1.0
-    assert not MODELS["sica"].spectral_consistent(p)
+    assert sica.sica_r0(p) < 1.0 < sica.endemic_threshold(p)
+    assert MODELS["sica"].spectral_consistent(p)
 
 
 def test_spectral_check_reads_the_rhs(monkeypatch):

@@ -12,7 +12,7 @@ argv instead.  Whatever the exit code, every run must keep these:
 * exit 3 prints a JSON ``error``, ``node`` and ``order`` on stdout;
 * a ``simulate`` that does not exit 0 leaves no ``--out``;
 * ``report``'s regime is endemic exactly when the threshold that ``r0``
-  prints (``endemic_threshold`` for SICA, ``r0`` for TEIV) exceeds 1.
+  prints exceeds 1.
 """
 
 import contextlib
@@ -128,7 +128,7 @@ def broken_invariants(argv: list, out_dir: str) -> list:
             problems.append(f"report exited {code}, but r0 on its config exited {r0_code!r}")
         else:
             doc = json.loads(r0_out)
-            threshold = doc.get("endemic_threshold", doc["r0"])
+            threshold = doc["threshold"]
             if (regime == "endemic") != (threshold > 1.0):
                 problems.append(f"report's regime {regime!r} at threshold {threshold!r}")
     return problems

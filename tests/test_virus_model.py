@@ -71,14 +71,6 @@ def virus_functional(p: VirusParams, anchor):
     return LyapunovFunctional((1.0, 1.0, p.a / p.k), anchor)
 
 
-def virus_r0_document(p: VirusParams) -> dict:
-    try:
-        endemic = list(virus_endemic(p))
-    except NoEndemicEquilibriumError:
-        endemic = None
-    return {"r0": virus_r0(p), "free": list(virus_free(p)), "endemic": endemic}
-
-
 VIRUS = ModelSpec(
     params=VirusParams,
     functionals={"log_volterra": "predicted"},
@@ -88,7 +80,6 @@ VIRUS = ModelSpec(
     free=virus_free,
     endemic=virus_endemic,
     functional_at=virus_functional,
-    r0_document=virus_r0_document,
 )
 
 CONFIG = {

@@ -33,8 +33,7 @@ _X_FLOOR = 1e-30  # below this, psi with a positive anchor is treated as singula
 
 @lru_cache(maxsize=1)
 def _gauss_rule():
-    """The 12-point Gauss-Legendre nodes and weights, built at the first
-    quadrature, so that only a non-identity g imports numpy.polynomial."""
+    """12-point Gauss-Legendre rule; only a non-identity g imports numpy.polynomial."""
     from numpy.polynomial.legendre import leggauss
     return leggauss(12)
 

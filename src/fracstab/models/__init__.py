@@ -12,7 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import NoEndemicEquilibriumError
 from ..newton import jacobian
 from . import sica, teiv
 
@@ -28,12 +27,10 @@ class ModelSpec:
     functionals: dict             # functional kind -> anchor: "free", "endemic" or "predicted"
     model: Callable               # params -> ModelDefinition
     r0: Callable                  # params -> reproduction number (printed; decides nothing)
-    threshold: Callable           # params -> persistence threshold: endemic above 1, the
-                                  # one number that decides the regime
+    threshold: Callable           # params -> persistence threshold: decides the regime
     free: Callable                # params -> disease-free equilibrium; its zero
                                   # components are the infected subsystem
-    endemic: Callable             # params -> endemic equilibrium; raises
-                                  # NoEndemicEquilibriumError at threshold <= 1
+    endemic: Callable             # params -> endemic equilibrium; raises at threshold <= 1
     functional_at: Callable       # (params, equilibrium) -> LyapunovFunctional anchored there
 
     def predicted(self, params) -> np.ndarray:
@@ -45,14 +42,10 @@ class ModelSpec:
         return getattr(self, self.functionals[kind])(params)
 
     def spectral_consistent(self, params) -> bool:
-        """Whether threshold < 1 agrees with linear stability of the free equilibrium.
-
-        The stability test takes the eigenvalues of the rhs Jacobian (central
-        differences) restricted to the components that are zero at the free
-        equilibrium, so it checks the threshold formula against the vector
-        field itself.  Parameters within 1e-6 of threshold 1 count as
-        consistent (the spectral test is not meaningful there).
-        """
+        """Whether threshold < 1 agrees with linear stability of the free equilibrium:
+        the eigenvalues of the rhs Jacobian (central differences) on the components
+        that are zero there, which checks the threshold formula against the vector
+        field itself.  Within 1e-6 of threshold 1 it is True without that test."""
         threshold = self.threshold(params)
         if abs(threshold - 1.0) <= _THRESHOLD_MARGIN:
             return True
@@ -63,14 +56,10 @@ class ModelSpec:
         return bool((eigs.real < 0).all()) == (threshold < 1.0)
 
     def r0_document(self, params) -> dict:
-        """What the r0 command prints after the model name: r0, the threshold
-        and both equilibria, the endemic one None where it does not exist."""
-        try:
-            endemic = list(self.endemic(params))
-        except NoEndemicEquilibriumError:
-            endemic = None
-        return {"r0": self.r0(params), "threshold": self.threshold(params),
-                "free": list(self.free(params)), "endemic": endemic}
+        """The r0 command's document after the model name; endemic None at threshold <= 1."""
+        threshold = self.threshold(params)
+        return {"r0": self.r0(params), "threshold": threshold, "free": list(self.free(params)),
+                "endemic": list(self.endemic(params)) if threshold > 1.0 else None}
 
 
 MODELS: dict[str, ModelSpec] = {

@@ -147,10 +147,9 @@ def _endemic_seed(p: SicaParams) -> np.ndarray:
 
 def sica_endemic(p: SicaParams) -> np.ndarray:
     """Endemic equilibrium via damped Newton, residual below 1e-9 relative."""
-    if endemic_threshold(p) <= 1.0:
-        raise NoEndemicEquilibriumError(
-            f"no endemic equilibrium: threshold {endemic_threshold(p):.4g} <= 1"
-        )
+    threshold = endemic_threshold(p)
+    if threshold <= 1.0:
+        raise NoEndemicEquilibriumError(f"no endemic equilibrium: threshold {threshold:.4g} <= 1")
     return damped_newton(sica_field(p), _endemic_seed(p))
 
 

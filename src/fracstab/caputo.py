@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -128,11 +128,26 @@ def adams_tables(order: FractionalOrder, n_steps: int):
 
     At step k the right-hand side i nodes before node k-1 has predictor
     weight dp[i] = (i+1)^alpha - i^alpha and, for i < k-1, corrector
-    weight d2q[i], the second difference of i^(alpha+1); node 0's corrector
-    weight is start[k-1].
+    weight d2q[i], the second difference of i^P, P = alpha+1; node 0's
+    corrector weight is start[k-1], start[i] = i^P - (i - alpha)(i+1)^alpha.
+    Both differences cancel, losing about i^2 eps.  For alpha < 1 and i >= 16
+    they are summed instead from series in u = 1/m, m = i+1, with terms of
+    one sign, to u^16 (truncation below 1e-18 relative):
+    d2q = 2 m^P sum_{j>=1} C(P,2j) u^2j and start = m^P sum_{j>=2} C(P,j) (-u)^j.
     """
     alpha = order.alpha
     p = np.arange(n_steps + 1, dtype=float) ** alpha
     q = np.arange(n_steps + 2, dtype=float) ** (alpha + 1.0)
+    d2q = q[2:] + q[:-2] - 2.0 * q[1:-1]
     start = q[:-2] - (np.arange(n_steps) - alpha) * p[1:]
-    return np.diff(p), q[2:] + q[:-2] - 2.0 * q[1:-1], start
+    if not order.is_classical and n_steps > 16:
+        c = [1.0]  # C(P, j) (-1)^j for j = 0..16
+        for j in range(1, 17):
+            c.append(-c[-1] * (alpha + 2.0 - j) / j)
+        u = 1.0 / np.arange(17, n_steps + 1, dtype=float)
+        u2 = u * u
+        scale = q[17:-1] * u2  # m^P u^2
+        # Horner's rule, from u^16 down
+        d2q[16:] = 2.0 * scale * reduce(lambda s, cj: s * u2 + cj, c[:1:-2])
+        start[16:] = scale * reduce(lambda s, cj: s * u + cj, c[:1:-1])
+    return np.diff(p), d2q, start

@@ -204,6 +204,29 @@ def test_abm_start_weights_match_a_40_digit_reference(alpha):
     assert (np.abs(start - ref) <= bound * ref).all()
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 0.99])
+def test_abm_corrector_tables_match_a_50_digit_reference_to_step_20000(alpha):
+    # d2q and start cancel powers of size i^(a+1) down to about i^(a-1),
+    # which loses about i^2 eps / a; from i = 16 on they are summed from
+    # series with terms of one sign, so the worst loss is at i = 15
+    n = 20000
+    idx = sorted(set(range(40)) | {int(i) for i in np.geomspace(40, n - 1, 60)})
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(alpha)
+        q = {i: Decimal(i) ** (a + 1) for i in {int(j) + k for j in idx for k in range(3)}}
+        d2q_ref = np.array([float(q[i + 2] + q[i] - 2 * q[i + 1]) for i in idx])
+        start_ref = np.array([float(q[i] - (i - a) * Decimal(i + 1) ** a) for i in idx])
+    _, d2q, start = adams_tables(FractionalOrder(alpha), n)
+    np.testing.assert_allclose(d2q[idx], d2q_ref, rtol=5e-12, atol=0)
+    np.testing.assert_allclose(start[idx], start_ref, rtol=5e-12, atol=0)
+
+
+def test_abm_classical_tables_are_exact_integers():
+    dp, d2q, start = adams_tables(FractionalOrder(1.0), 20000)
+    assert (dp == 1.0).all() and (d2q == 2.0).all() and (start == 1.0).all()
+
+
 def test_abm_corrector_weights_positive():
     for k in (1, 2, 5, 17):
         dp, d2q, start = adams_tables(FractionalOrder(0.35), k)

@@ -641,13 +641,13 @@ def test_cmd_report_uncertified_order_exits_1(capsys, monkeypatch):
     assert per_order[0]["decrescence"]["violating_node"] == 0
 
 
-def mass_action_fig2(tmp_path, threshold=2.0):
-    """fig2 read as mass action, with beta scaled to the given threshold, on 500 steps to T = 200."""
+def mass_action_fig2(tmp_path):
+    """fig2 read as mass action, with beta scaled to threshold 2, on 500 steps to T = 200."""
     with open(os.path.join(CONFIGS, "fig2.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["params"]["incidence"] = "mass_action"
     p = sica.SicaParams(**doc["params"])
-    doc["params"]["beta"] = p.beta * threshold / sica.endemic_threshold(p)
+    doc["params"]["beta"] = p.beta * 2.0 / sica.endemic_threshold(p)
     doc["steps"], doc["t_end"] = 500, 200.0
     return write_config(tmp_path, doc, "mass_action_fig2.json")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ContractError, NewtonError, NoEndemicEquilibriumError
 from ..lyapunov import LyapunovFunctional
-from ..newton import accept_root, damped_newton, require_equilibrium
+from ..newton import damped_newton, require_equilibrium
 from ..solver import ModelDefinition
 
 STATE_LABELS = ("T", "E", "I", "V")
@@ -151,18 +151,11 @@ def teiv_equilibria(p: TeivParams) -> list:
     equilibrium (positive E, I, V) when the reproduction number exceeds 1.
 
     Each has residual at most 1e-9 of its state scale.  The chronic one is
-    Newton's polish of the seed, or the seed where Newton fails or goes non-positive.
+    ``damped_newton``'s from the closed-form seed, so it is positive.
     """
     out = [teiv_infection_free(p)]
     if teiv_r0(p) > 1.0:
-        f, seed = teiv_field(p), _chronic_seed(p)
-        try:
-            x = damped_newton(f, seed)
-            if not (x > 0).all():
-                raise NewtonError(f"Newton left the positive orthant at {x}")
-        except NewtonError:
-            x = accept_root(f(seed.tolist()), seed)
-        out.append(x)
+        out.append(damped_newton(teiv_field(p), _chronic_seed(p)))
     return out
 
 

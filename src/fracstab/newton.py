@@ -30,25 +30,28 @@ def jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
 
 
 def damped_newton(f: Callable, x0) -> np.ndarray:
-    """Root of ``f`` by Newton iteration with step halving on residual increase.
+    """Equilibrium of ``f`` from the seed ``x0``, by Newton iteration with
+    step halving on residual increase.
 
     ``f`` follows the rhs contract of ``ModelDefinition``: it takes a list
     of Python floats and may return any float sequence.
 
-    Stops when the relative step norm drops below 1e-12 and returns the
-    root only if max |f(x)| <= 1e-9 max(max |x|, 1); raises ``NewtonError``
-    otherwise, or after 200 iterations without convergence.
+    The iteration stops when the relative step norm drops below 1e-12.  Its
+    point is returned if it is a root, max |f(x)| <= 1e-9 max(max |x|, 1),
+    and is positive wherever ``x0`` is.  Otherwise, and after a singular
+    Jacobian, a failed line search or 200 iterations, ``x0`` is returned if
+    it is a root by the same test; if not, ``NewtonError`` names its residual.
     """
     def residual(x):
         return np.asarray(f(x.tolist()), dtype=float)
 
-    x = np.asarray(x0, dtype=float).copy()
-    fx = residual(x)
+    x = seed = np.array(x0, dtype=float)
+    fx = seed_fx = residual(seed)
     for _ in range(_MAX_ITER):
         try:
             delta = np.linalg.solve(jacobian(f, x), -fx)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Jacobian at {x}") from exc
+        except np.linalg.LinAlgError:
+            break
 
         lam = 1.0
         base_res = np.linalg.norm(fx)
@@ -59,21 +62,22 @@ def damped_newton(f: Callable, x0) -> np.ndarray:
                 break
             lam *= 0.5
         else:
-            raise NewtonError("line search failed to reduce the residual")
+            break
 
         step = np.linalg.norm(lam * delta) / max(np.linalg.norm(x_new), 1.0)
         x, fx = x_new, fx_new
         if step < _STEP_TOL:
-            return accept_root(fx, x)
-    raise NewtonError(f"no convergence after {_MAX_ITER} iterations")
+            if _accept_root(fx, x) and (x[seed > 0] > 0).all():
+                return x
+            break
+    if not _accept_root(seed_fx, seed):
+        raise NewtonError(f"residual {np.abs(seed_fx).max():.3g} too large at the seed {seed}")
+    return seed
 
 
-def accept_root(fx, x: np.ndarray) -> np.ndarray:
-    """``x`` if ``fx = f(x)`` has max |fx| <= 1e-9 max(max |x|, 1); else ``NewtonError``."""
-    residual = np.abs(fx).max()
-    if residual > _RESIDUAL_TOL * max(np.abs(x).max(), 1.0):
-        raise NewtonError(f"residual {residual:.3g} too large at {x}")
-    return x
+def _accept_root(fx, x: np.ndarray) -> bool:
+    """Whether ``fx = f(x)`` has max |fx| <= 1e-9 max(max |x|, 1)."""
+    return np.abs(fx).max() <= _RESIDUAL_TOL * max(np.abs(x).max(), 1.0)
 
 
 def require_equilibrium(f: Callable, anchor, dimension: int) -> np.ndarray:

@@ -629,6 +629,25 @@ def test_cmd_report_endemic_certified(tmp_path, capsys, monkeypatch):
     assert len(newton_calls) == 1
 
 
+@pytest.mark.parametrize("beta", [0.22760119914166133, 0.22760119914166144])
+def test_fig1_a_few_ulp_above_the_threshold_has_a_positive_endemic_point(tmp_path, capsys, beta):
+    # Newton from the positive seed stepped to I, C, A ~ -1e-10 here: r0 printed
+    # that point, and report and simulate exited 2 on its negative anchor
+    with open(os.path.join(CONFIGS, "fig1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["params"].update(mu=1.0 / 69.54, beta=beta)
+    doc.update(steps=100, t_end=40.0, orders=[0.9], functionals=["v1"])
+    path = write_config(tmp_path, doc)
+    assert main(["r0", "--config", path]) == 0
+    r0_doc = json.loads(capsys.readouterr().out)
+    assert 0.0 < r0_doc["threshold"] - 1.0 < 1e-15
+    assert all(v > 0 for v in r0_doc["endemic"])
+    assert main(["report", "--config", path]) == 0
+    per_order = json.loads(capsys.readouterr().out)["per_order"]
+    assert [e["verdict"] for e in per_order] == ["endemic, certified"]
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cmd_report_uncertified_order_exits_1(capsys, monkeypatch):
     # a tolerance no derivative can meet at order 0.8 only; finite, so the JSON stays standard
     tolerance = default_tolerance
@@ -923,10 +942,9 @@ def test_a_config_integer_python_refuses_to_read_exits_2(tmp_path, capsys):
 
 
 def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):
-    # SICA's endemic point, which has no fallback; TEIV's chronic point falls
-    # back to its closed-form seed (tests/test_teiv.py)
+    # the whole of damped_newton fails, its seed fallback included (tests/test_newton.py)
     def failing_newton(*args, **kwargs):
-        raise NewtonError("no convergence after 200 iterations")
+        raise NewtonError("residual 0.001 too large at the seed [1. 2. 3. 4.]")
 
     monkeypatch.setattr(sica, "damped_newton", failing_newton)
     doc = copy.deepcopy(BASE_SICA)
@@ -934,4 +952,4 @@ def test_newton_failure_exits_2_with_json_error(tmp_path, capsys, monkeypatch):
     code = main(["report", "--config", write_config(tmp_path, doc)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "NewtonError", "message": "no convergence after 200 iterations"}
+    assert err == {"error": "NewtonError", "message": "residual 0.001 too large at the seed [1. 2. 3. 4.]"}

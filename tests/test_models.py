@@ -166,3 +166,34 @@ def test_spectral_consistent_without_a_spectral_test_within_1e_6_of_r0_1(
 
     monkeypatch.setattr("fracstab.models.jacobian", no_jacobian)
     assert spec.spectral_consistent(p) is True
+
+
+# SICA at both incidences and both baseline betas, TEIV on teiv_demo with and without alpha3
+NEAR_THRESHOLD_CASES = {
+    f"sica_{incidence}_{beta}": ("sica", sica.baseline_params(beta=beta, incidence=incidence))
+    for incidence in sica.INCIDENCE_VARIANTS for beta in (0.066, 0.866)
+}
+NEAR_THRESHOLD_CASES.update(
+    teiv_demo=("teiv", SAMPLE_PARAMS["teiv"]),
+    teiv_demo_alpha3_0=("teiv", dataclasses.replace(SAMPLE_PARAMS["teiv"], alpha3=0.0)),
+)
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_THRESHOLD_CASES))
+def test_endemic_point_is_a_positive_root_at_every_double_just_above_the_critical_beta(case):
+    # the threshold is linear in beta; within a few ULP above its critical
+    # value Newton from SICA's positive seed stepped to I, C, A ~ -1e-10
+    name, base = NEAR_THRESHOLD_CASES[case]
+    spec = MODELS[name]
+    beta = base.beta / spec.threshold(base)
+    checked = 0
+    for _ in range(200):
+        beta = float(np.nextafter(beta, np.inf))
+        p = dataclasses.replace(base, beta=beta)
+        if spec.threshold(p) <= 1.0:
+            continue
+        x = spec.endemic(p)
+        residual = np.abs(spec.model(p).rhs(x.tolist())).max()
+        assert (x > 0).all() and residual <= 1e-9 * max(np.abs(x).max(), 1.0), (beta, x)
+        checked += 1
+    assert checked >= 190

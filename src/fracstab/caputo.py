@@ -93,6 +93,12 @@ def fft_size(m: int) -> int:
     return best
 
 
+def _power_steps(e: float, n: int) -> np.ndarray:
+    """(j+1)^e - j^e for j = 0..n-1, as j^e expm1(e log1p(1/j)), which does not cancel."""
+    j = np.arange(1.0, n)
+    return np.concatenate(([1.0], j ** e * np.expm1(e * np.log1p(1.0 / j))))
+
+
 def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
     """L1-scheme estimate of the Caputo derivative of a sampled signal.
 
@@ -110,8 +116,7 @@ def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
     else:
         alpha = order.alpha
         n = grid.n_steps
-        j = np.arange(n + 1, dtype=float)
-        c = j[1:] ** (1.0 - alpha) - j[:-1] ** (1.0 - alpha)
+        c = _power_steps(1.0 - alpha, n)
         scale = h ** (-alpha) / math.gamma(2.0 - alpha)
         # out[k] = scale * sum_{j=0}^{k-1} c[j] * du[k-1-j], by a real FFT
         # zero-padded to at least 2n - 1 so the circular product does not wrap
@@ -127,12 +132,12 @@ def adams_tables(order: FractionalOrder, n_steps: int):
     """Unnormalized fractional Adams weights for steps 1..n_steps.
 
     At step k the right-hand side i nodes before node k-1 has predictor
-    weight dp[i] = (i+1)^alpha - i^alpha and, for i < k-1, corrector
-    weight d2q[i], the second difference of i^P, P = alpha+1; node 0's
-    corrector weight is start[k-1], start[i] = i^P - (i - alpha)(i+1)^alpha.
-    Both differences cancel, losing about i^2 eps.  For alpha < 1 and i >= 16
-    they are summed instead from series in u = 1/m, m = i+1, with terms of
-    one sign, to u^16 (truncation below 1e-18 relative):
+    weight dp[i] = (i+1)^alpha - i^alpha (``_power_steps`` for alpha < 1)
+    and, for i < k-1, corrector weight d2q[i], the second difference of i^P,
+    P = alpha+1; node 0's corrector weight is start[k-1], start[i] = i^P -
+    (i - alpha)(i+1)^alpha.  d2q and start cancel, losing about i^2 eps; for
+    alpha < 1 and i >= 16 they are summed instead from series in u = 1/m,
+    m = i+1, with terms of one sign, to u^16 (truncation below 1e-18 relative):
     d2q = 2 m^P sum_{j>=1} C(P,2j) u^2j and start = m^P sum_{j>=2} C(P,j) (-u)^j.
     """
     alpha = order.alpha
@@ -150,4 +155,5 @@ def adams_tables(order: FractionalOrder, n_steps: int):
         # Horner's rule, from u^16 down
         d2q[16:] = 2.0 * scale * reduce(lambda s, cj: s * u2 + cj, c[:1:-2])
         start[16:] = scale * reduce(lambda s, cj: s * u + cj, c[:1:-1])
-    return np.diff(p), d2q, start
+    dp = np.diff(p) if order.is_classical else _power_steps(alpha, n_steps)
+    return dp, d2q, start

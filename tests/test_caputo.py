@@ -12,6 +12,7 @@ from fracstab import (
     UniformGrid,
     l1_caputo,
 )
+from fracstab import caputo
 from fracstab.caputo import adams_tables, fft_size
 from oracles import gl_weights
 
@@ -220,6 +221,39 @@ def test_abm_corrector_tables_match_a_50_digit_reference_to_step_20000(alpha):
     _, d2q, start = adams_tables(FractionalOrder(alpha), n)
     np.testing.assert_allclose(d2q[idx], d2q_ref, rtol=5e-12, atol=0)
     np.testing.assert_allclose(start[idx], start_ref, rtol=5e-12, atol=0)
+
+
+def _power_steps_decimal(e: float, idx) -> np.ndarray:
+    """(i+1)^e - i^e at each i of ``idx``, from 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return np.array([float(Decimal(i + 1) ** Decimal(e) - Decimal(i) ** Decimal(e)) for i in idx])
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 0.99])
+def test_power_differences_match_a_50_digit_reference_to_step_20000(alpha):
+    # (i+1)^e - i^e cancels powers of size i^e down to about e i^(e-1),
+    # losing about i eps / e; the Adams predictor table has e = alpha and
+    # the L1 weights e = 1 - alpha
+    n = 20000
+    idx = sorted(set(range(40)) | {int(i) for i in np.geomspace(40, n - 1, 60)})
+    dp, _, _ = adams_tables(FractionalOrder(alpha), n)
+    np.testing.assert_allclose(dp[idx], _power_steps_decimal(alpha, idx), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(caputo._power_steps(1.0 - alpha, n)[idx],
+                               _power_steps_decimal(1.0 - alpha, idx), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+def test_l1_response_to_a_unit_step_is_its_weights(alpha):
+    # u jumps from 0 to 1 at t = h, so out[k] = c[k-1] / Gamma(2 - alpha) at
+    # h = 1; the FFT's rounding, about 1e-12 of c at alpha = 0.99, bounds rtol
+    n = 20000
+    idx = sorted(set(range(40)) | {int(i) for i in np.geomspace(40, n - 1, 60)})
+    u = np.ones(n + 1)
+    u[0] = 0.0
+    out = l1_caputo(SampledSignal(UniformGrid(0.0, 1.0, n), u), FractionalOrder(alpha)).values
+    np.testing.assert_allclose(out[1:][idx] * math.gamma(2.0 - alpha),
+                               _power_steps_decimal(1.0 - alpha, idx), rtol=1e-11, atol=0)
 
 
 def test_abm_classical_tables_are_exact_integers():

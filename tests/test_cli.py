@@ -631,8 +631,8 @@ def test_cmd_report_endemic_certified(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("beta", [0.22760119914166133, 0.22760119914166144])
 def test_fig1_a_few_ulp_above_the_threshold_has_a_positive_endemic_point(tmp_path, capsys, beta):
-    # Newton from the positive seed stepped to I, C, A ~ -1e-10 here: r0 printed
-    # that point, and report and simulate exited 2 on its negative anchor
+    # here Newton from the positive seed steps to I, C, A ~ -1e-10, so the seed
+    # is the endemic point, and the functional's anchor is positive
     with open(os.path.join(CONFIGS, "fig1.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["params"].update(mu=1.0 / 69.54, beta=beta)

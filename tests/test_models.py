@@ -181,8 +181,8 @@ NEAR_THRESHOLD_CASES.update(
 
 @pytest.mark.parametrize("case", sorted(NEAR_THRESHOLD_CASES))
 def test_endemic_point_is_a_positive_root_at_every_double_just_above_the_critical_beta(case):
-    # the threshold is linear in beta; within a few ULP above its critical
-    # value Newton from SICA's positive seed stepped to I, C, A ~ -1e-10
+    # the threshold is linear in beta; a few ULP above its critical value
+    # Newton from SICA's positive seed steps to I, C, A ~ -1e-10
     name, base = NEAR_THRESHOLD_CASES[case]
     spec = MODELS[name]
     beta = base.beta / spec.threshold(base)

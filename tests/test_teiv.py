@@ -233,7 +233,7 @@ def test_chronic_seed_fallback_keeps_the_residual_rule(monkeypatch):
     seed = teiv._chronic_seed(p)
     monkeypatch.setattr(newton, "jacobian", lambda f, x: np.zeros((x.size, x.size)))
     assert np.array_equal(damped_newton(teiv.teiv_field(p), seed), seed)
-    with pytest.raises(NewtonError, match="residual"):
+    with pytest.raises(NewtonError, match="residual .* too large at the seed"):
         damped_newton(teiv.teiv_field(p), seed * 1.01)
 
 

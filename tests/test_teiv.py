@@ -16,8 +16,8 @@ from fracstab import (
     psi_profile,
     solve_fde_abm,
 )
-from fracstab.cli import certify_order
 from fracstab import newton
+from fracstab.cli import certify_order
 from fracstab.models import MODELS, teiv
 from fracstab.newton import damped_newton
 from oracles import functional_value, psi, teiv_chronic_decimal, teiv_chronic_seed_bisect

@@ -1,5 +1,5 @@
-"""Damped Newton iteration for small nonlinear systems, and the residual
-test that a functional's anchor is an equilibrium."""
+"""Damped Newton iteration for small nonlinear systems, and the one residual
+test by which Newton's roots and a functional's anchor count as equilibria."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from .errors import ContractError, NewtonError
 _MAX_ITER = 200
 _STEP_TOL = 1e-12       # relative step norm that ends the iteration
 _RESIDUAL_TOL = 1e-9    # accepted max |f(x)|, relative to max(|x|, 1)
-_ANCHOR_TOL = 1e-6      # the same, for the anchor of a Lyapunov functional
 
 
 def jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -84,13 +83,12 @@ def require_equilibrium(f: Callable, anchor, dimension: int) -> np.ndarray:
     """``anchor`` as a float array, checked to be a root of the vector field ``f``
     (an rhs, which takes a list of Python floats).
 
-    Raises ``ContractError`` unless it has ``dimension`` components and
-    max |f(anchor)| <= 1e-6 max(max |anchor|, 1).
+    Raises ``ContractError`` unless it has ``dimension`` components and is a
+    root by ``damped_newton``'s test, max |f| <= 1e-9 max(max |anchor|, 1).
     """
     anchor = np.asarray(anchor, dtype=float)
     if anchor.shape != (dimension,):
         raise ContractError(f"anchor must be a {dimension}-component state")
-    scale = max(np.abs(anchor).max(), 1.0)
-    if np.abs(f(anchor.tolist())).max() > _ANCHOR_TOL * scale:
+    if not _accept_root(f(anchor.tolist()), anchor):
         raise ContractError("anchor is not an equilibrium of the model")
     return anchor

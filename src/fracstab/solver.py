@@ -38,10 +38,10 @@ class ModelDefinition:
     ``rhs`` must be deterministic and side-effect free.  It takes a list
     of ``dimension`` Python floats and returns ``dimension`` rates, as a
     list of Python floats (the shipped models) or as a float ndarray; code
-    that does array arithmetic on them converts with ``np.asarray``.  A
-    division by zero inside it gives inf or nan rather than raising, so
-    that the solver's finiteness guard reports the solve as a
-    ``DivergenceError`` at that node.
+    that does array arithmetic on them converts with ``np.asarray``.  An
+    inf or nan rate ends a solve as a ``DivergenceError`` at its node.  A
+    field may raise a package error outside its domain, as ``sica_field``
+    does at zero population (the CLI's psi floor rejects that start first).
     """
 
     dimension: int

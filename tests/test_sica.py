@@ -192,6 +192,12 @@ def test_v1_rejects_non_equilibrium_anchor():
     eq = sica.sica_endemic(p)
     with pytest.raises(ContractError, match="not an equilibrium"):
         sica.sica_v1(p, 1.05 * eq)
+    # a residual of about 1e-8 of scale fails the 1e-9 rule that an anchor
+    # shares with damped_newton's roots
+    near = eq * (1.0 + 3.4e-7)
+    assert 5e-9 < np.abs(sica.sica_field(p)(near.tolist())).max() / near.max() < 2e-8
+    with pytest.raises(ContractError, match="not an equilibrium"):
+        sica.sica_v1(p, near)
     with pytest.raises(ContractError, match="4-component"):
         sica.sica_v1(p, eq[:3])
 

@@ -212,6 +212,23 @@ def test_far_field_transfer_bit_identical_to_per_column_transfer(e, n_nodes):
     assert len(spectra) == 1 and next(iter(spectra.values())) is cached
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+def test_abm_test_equation_is_stable_exactly_below_the_gamma_bound(alpha):
+    # On D^alpha y = -lam y the PECE step stays bounded while
+    # lam h^alpha <= Gamma(alpha + 2), the inverse of the corrector's weight
+    # on f(pred): decay just below the bound, growth past 1e30 just above.
+    h, n = 0.01, 2000
+    grid = UniformGrid(0.0, h, n)
+    tails = []
+    for factor in (0.98, 1.02):
+        lam = factor * math.gamma(alpha + 2.0) / h ** alpha
+        model = ModelDefinition(1, lambda u: [-lam * v for v in u], "stiff_decay", ("y",))
+        traj = solve_fde_abm(model, FractionalOrder(alpha), [1.0], grid)
+        tails.append(np.abs(traj.component(0)[-100:]).max())
+    assert tails[0] <= 0.07
+    assert tails[1] > 1e30
+
+
 def test_divergence_reports_node():
     blow_up = ModelDefinition(
         dimension=1, rhs=lambda u: [v * v * v for v in u], name="cubic_growth", state_labels=("u",)

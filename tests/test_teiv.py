@@ -255,6 +255,12 @@ def test_lyapunov_rejects_non_equilibrium_anchor():
     p = demo_params()
     with pytest.raises(ContractError):
         teiv.teiv_lyapunov(p, [1.0, 1.0, 1.0, 1.0])
+    # a residual of about 1e-8 of scale fails the 1e-9 rule that an anchor
+    # shares with damped_newton's roots
+    near = teiv.teiv_equilibria(p)[-1] * (1.0 + 5e-8)
+    assert 5e-9 < np.abs(teiv.teiv_field(p)(near.tolist())).max() / near.max() < 2e-8
+    with pytest.raises(ContractError, match="not an equilibrium"):
+        teiv.teiv_lyapunov(p, near)
 
 
 def test_lyapunov_at_infection_free_anchor_has_linear_parts():

@@ -1,11 +1,11 @@
-"""Command-line front end: r0, simulate, verify-lemma, report.
+"""Command-line front end: r0, simulate, verify-lemma, report; each prints JSON on stdout.
 
-Exit codes: 0 all certificates pass, 1 a certificate fails or (report)
-the threshold disagrees with the free equilibrium's spectrum, 2 a usage
-error (missing or malformed option, unknown command), any other package
-error (configuration, domain, grid, equilibrium or Newton failure), an OS
-error on an output path or a grid too large to allocate (the JSON error
-goes to stderr), 3 a solve that diverges or undershoots, with
+Exit codes: 0 all certificates pass, 1 a certificate fails or (report) the
+threshold disagrees with the free equilibrium's spectrum, 2 a usage error
+(missing or malformed option, --out outside simulate, unknown command), any
+other package error (configuration, domain, grid, equilibrium or Newton
+failure), an OS error on simulate's --out or a grid too large to allocate
+(JSON error on stderr), 3 a solve that diverges or undershoots, with
 {"error": "divergence" | "undershoot", "node": k, "order": a} on stdout.
 """
 
@@ -77,16 +77,8 @@ def _solve_orders(cfg: ExperimentConfig, model, orders, anchors) -> list[Traject
     return trajectories
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-
-
 def cmd_r0(cfg: ExperimentConfig, args) -> int:
-    _emit({"model": cfg.model, **cfg.spec.r0_document(cfg.params)}, args.out)
+    print(json.dumps({"model": cfg.model, **cfg.spec.r0_document(cfg.params)}, indent=2))
     return EXIT_PASS
 
 
@@ -144,7 +136,7 @@ def cmd_verify_lemma(cfg: ExperimentConfig, args) -> int:
     (traj,) = _solve_orders(cfg, model, [order], [np.eye(model.dimension)[idx] * args.xbar])
     signal = SampledSignal(traj.grid, traj.component(idx))
     cert = lemma_certificate(signal, _G_REGISTRY[args.g], args.xbar, order)
-    _emit(cert, args.out)
+    print(json.dumps(cert, indent=2))
     return EXIT_PASS if cert["pass"] else EXIT_CERT_FAIL
 
 
@@ -195,7 +187,7 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
         "target_equilibrium": list(target),
         "per_order": per_order,
     }
-    _emit(doc, args.out)
+    print(json.dumps(doc, indent=2))
     certified = consistent and all(e["decrescence"]["pass"] for e in per_order)
     return EXIT_PASS if certified else EXIT_CERT_FAIL
 
@@ -219,9 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         if name == "simulate":
-            sp.add_argument("--out", required=True, help="output directory")
-        else:
-            sp.add_argument("--out", default=None, help="optional JSON output path")
+            sp.add_argument("--out", required=True, help="directory for the CSVs and states.svg")
         if name == "verify-lemma":
             sp.add_argument("--coordinate", required=True, help="state label, e.g. S")
             sp.add_argument("--g", default="identity", help="shape function label")

@@ -65,3 +65,13 @@ def test_order1_reference_builds_the_program_model_positionally():
     ref = checks.Order1Reference(_teiv_demo_40_steps())
     assert ref.exact.shape == ref.half_step.shape == (41, 4)
     assert np.isfinite(ref.errors(ref.half_step)).all()
+
+
+def test_every_workload_command_line_parses():
+    workloads = _bench_module("workloads")
+    parser = cli._build_parser()
+    for name in workloads.WORKLOADS:
+        _, items = workloads.make_workload(name, 1)
+        for item in items:
+            argv = workloads.item_argv(item, f"{item['config']}.json", "out")
+            assert parser.parse_args(argv).command == item["command"], argv

@@ -435,10 +435,6 @@ def test_os_error_on_an_output_path_exits_2_before_any_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert json.loads(captured.err)["error"] == "NotADirectoryError"
-    code = main(["report", "--config", config, "--out", str(tmp_path / "missing" / "r.json")])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert json.loads(captured.err)["error"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize("command", ["report", "simulate", "verify-lemma"])
@@ -545,16 +541,12 @@ CERTIFICATE_KEYS = ["kind", "max_violation", "tolerance", "pass", "violating_nod
 
 
 def test_cmd_verify_lemma_pass(tmp_path, capsys):
-    out_file = str(tmp_path / "cert.json")
     code = main([
         "verify-lemma", "--config", write_config(tmp_path, BASE_SICA),
-        "--coordinate", "S", "--g", "identity",
-        "--xbar", "745746.99", "--order", "0.9", "--out", out_file,
+        "--coordinate", "S", "--g", "identity", "--xbar", "745746.99", "--order", "0.9",
     ])
     assert code == 0
-    with open(out_file, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert json.loads(capsys.readouterr().out) == doc
+    doc = json.loads(capsys.readouterr().out)
     assert list(doc) == [*CERTIFICATE_KEYS, "order"]
     assert doc["pass"] is True
     assert doc["kind"] == "lemma_inequality"
@@ -793,6 +785,20 @@ def test_usage_error_exits_2_with_json_error(capsys, argv, message):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "ArgumentError" and err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("r0", []), ("report", []), ("verify-lemma", ["--coordinate", "T", "--xbar", "23.3"]),
+], ids=["r0", "report", "verify-lemma"])
+def test_out_is_a_usage_error_outside_simulate(tmp_path, capsys, command, extra):
+    out_file = tmp_path / "r.json"
+    config = os.path.join(CONFIGS, "teiv_demo.json")
+    assert main([command, "--config", config, *extra, "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ArgumentError" and "unrecognized arguments: --out" in err["message"]
+    assert not out_file.exists()
 
 
 def test_help_still_exits_0_with_text(capsys):

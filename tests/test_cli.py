@@ -324,25 +324,22 @@ def test_cmd_r0_teiv(tmp_path, capsys):
     assert doc["endemic"] is not None
 
 
-def test_cmd_simulate_artifacts_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("config,header", [
+    (None, "t,S,I,C,A,V_v0,dcaputo_V_v0"),
+    ("teiv_demo.json", "t,T,E,I,V,V_teiv_at_anchor,dcaputo_V_teiv_at_anchor"),
+], ids=["base_sica", "teiv_demo"])
+def test_cmd_simulate_artifacts_round_trip(tmp_path, capsys, config, header):
+    path = os.path.join(CONFIGS, config) if config else write_config(tmp_path, BASE_SICA)
     out_dir = str(tmp_path / "out")
-    code = main([
-        "simulate", "--config", write_config(tmp_path, BASE_SICA), "--out", out_dir,
-    ])
-    assert code == 0
-    csv_path = os.path.join(out_dir, "trajectory_order_0.9.csv")
-    header, cols = read_csv(csv_path)
-    assert header[:5] == ["t", "S", "I", "C", "A"]
-    assert "V_v0" in header and "dcaputo_V_v0" in header
-
-    # emitted samples must be bit-identical to an in-process solve
-    cfg = config_from_dict(copy.deepcopy(BASE_SICA))
+    assert main(["simulate", "--config", path, "--out", out_dir]) == 0
+    cfg = load_config(path)
     grid = UniformGrid(0.0, cfg.t_end / cfg.steps, cfg.steps)
-    traj = solve_fde_abm(
-        sica.sica_model(cfg.params), FractionalOrder(0.9),
-        np.asarray(cfg.initial_state), grid,
-    )
-    np.testing.assert_array_equal(cols[1], traj.component(0))
+    for order in cfg.orders:
+        written, cols = read_csv(os.path.join(out_dir, f"trajectory_order_{order.alpha:g}.csv"))
+        assert written == header.split(",")
+        # emitted samples must be bit-identical to an in-process solve
+        traj = solve_fde_abm(cfg.spec.model(cfg.params), order, np.asarray(cfg.initial_state), grid)
+        np.testing.assert_array_equal(cols[1], traj.component(0))
 
     with open(os.path.join(out_dir, "states.svg"), encoding="utf-8") as fh:
         svg = fh.read()
@@ -716,7 +713,8 @@ def test_cmd_report_per_order_is_certify_order_plus_verdict(tmp_path, capsys):
     grid = UniformGrid(0.0, cfg.t_end / cfg.steps, cfg.steps)
     for order, entry in zip(cfg.orders, doc["per_order"]):
         traj = solve_fde_abm(cfg.spec.model(cfg.params), order, cfg.initial_state, grid)
-        assert list(entry)[:2] == ["order", "verdict"]
+        assert list(entry) == [
+            "order", "verdict", "decrescence", "final_relative_distance", "ball_entry_time_5pct"]
         assert entry.pop("verdict") == "disease-free, certified"
         assert entry == json.loads(json.dumps(certify_order(functional, traj, target)))
 

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import subprocess
@@ -36,17 +37,18 @@ def test_runtime_imports_match_declared_dependencies():
     assert third_party_imports() == declared
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """``script`` in a fresh interpreter, with src on its path, from the repository root."""
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args``, with src on its path, from the repository root."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_cli_run_loads_no_scipy():
     # a fresh interpreter: the test session itself imports scipy for the oracles
     run = run_fresh(
+        "-c",
         "import sys\n"
         "import fracstab.cli as cli\n"
         "code = cli.main(['report', '--config', 'configs/teiv_demo.json'])\n"
@@ -60,6 +62,7 @@ def test_cli_run_loads_no_scipy():
 def test_cli_import_leaves_numpy_polynomial_to_the_first_quadrature():
     # only psi_profile with a non-identity g uses the Gauss-Legendre rule
     run = run_fresh(
+        "-c",
         "import sys\n"
         "import numpy as np\n"
         "import fracstab.cli\n"
@@ -70,3 +73,27 @@ def test_cli_import_leaves_numpy_polynomial_to_the_first_quadrature():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("params,code,stream,expected", [
+    (None, 2, "stderr",
+     {"error": "ArgumentError", "message": "the following arguments are required: --config"}),
+    # fig1 read as mass action at a small beta: at order 0.5, I is negative at node 2
+    ({"incidence": "mass_action", "beta": 1e-5}, 3, "stdout",
+     {"error": "undershoot", "node": 2, "order": 0.5}),
+], ids=["usage_error", "undershoot"])
+def test_script_exit_status_and_streams(tmp_path, params, code, stream, expected):
+    # the process's own status, through sys.exit(main()), as the console script ends
+    argv = ["report"]
+    if params is not None:
+        with open(os.path.join(ROOT, "configs", "fig1.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["params"].update(params)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv += ["--config", str(config)]
+    run = run_fresh("-m", "fracstab.cli", *argv)
+    printed, other = (run.stderr, run.stdout) if stream == "stderr" else (run.stdout, run.stderr)
+    assert run.returncode == code, run.stderr
+    assert json.loads(printed) == expected
+    assert other == ""

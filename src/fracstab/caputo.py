@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -73,26 +73,6 @@ class SampledSignal:
         object.__setattr__(self, "values", v)
 
 
-@lru_cache(maxsize=128)
-def fft_size(m: int) -> int:
-    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT transforms fast.
-
-    Memoised: a solve asks for the same few sizes at each of its
-    far-field transfers."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            size = p35
-            while size < m:
-                size *= 2
-            best = min(best, size)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _power_steps(e: float, n: int) -> np.ndarray:
     """(j+1)^e - j^e for j = 0..n-1, as j^e expm1(e log1p(1/j)), which does not cancel."""
     j = np.arange(1.0, n)
@@ -119,8 +99,9 @@ def l1_caputo(signal: SampledSignal, order: FractionalOrder) -> SampledSignal:
         c = _power_steps(1.0 - alpha, n)
         scale = h ** (-alpha) / math.gamma(2.0 - alpha)
         # out[k] = scale * sum_{j=0}^{k-1} c[j] * du[k-1-j], by a real FFT
-        # zero-padded to at least 2n - 1 so the circular product does not wrap
-        size = fft_size(2 * n - 1)
+        # zero-padded to a power of two of at least 2n - 1, so the circular
+        # product does not wrap
+        size = 1 << (2 * n - 2).bit_length()
         spectrum = np.fft.rfft(c, size)
         spectrum *= np.fft.rfft(du, size)
         out[1:] = scale * np.fft.irfft(spectrum, size)[:n]

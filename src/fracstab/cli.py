@@ -122,8 +122,6 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_verify_lemma(cfg: ExperimentConfig, args) -> int:
-    if args.g not in _G_REGISTRY:
-        raise ConfigError(f"unknown g label {args.g!r}; choose from {sorted(_G_REGISTRY)}")
     if not 0.0 < args.xbar < math.inf:
         raise ConfigError(f"xbar must be finite and strictly positive, got {args.xbar!r}")
     order = FractionalOrder(args.order) if args.order is not None else cfg.orders[0]
@@ -214,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--out", required=True, help="directory for the CSVs and states.svg")
         if name == "verify-lemma":
             sp.add_argument("--coordinate", required=True, help="state label, e.g. S")
-            sp.add_argument("--g", default="identity", help="shape function label")
+            sp.add_argument("--g", default="identity", choices=sorted(_G_REGISTRY),
+                            help="shape function label")
             sp.add_argument("--xbar", type=float, required=True)
             sp.add_argument("--order", type=float, default=None)
     return ap

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .caputo import FractionalOrder, UniformGrid, adams_tables, fft_size
+from .caputo import FractionalOrder, UniformGrid, adams_tables
 from .errors import ContractError, DivergenceError
 
 
@@ -192,18 +192,19 @@ def _add_far_field(xs: np.ndarray, fs: np.ndarray, kernels: np.ndarray, e: int,
     size at which e / r is odd, so each earlier source reaches each later
     block through exactly one such transfer.  Of the T = min(r, N + 1 - e)
     targets, target e + t takes source e - r + i with kernel entry
-    r - 1 + t - i < r + T - 1, so a real FFT of at least that length gives
-    the sums without wrap-around.  Both kernels share one transform of
-    the (r, d) source block; each kernel's product is freed before the
-    next one's, which keeps the temporaries small.  ``spectra`` maps an
-    FFT size to the kernels' transforms at that size; a solve passes the
-    same dict to every transfer, so each size is transformed once.
+    r - 1 + t - i < r + T - 1 <= 2r - 1, so a real FFT of length 2r, a
+    power of two, gives the sums without wrap-around.  Both kernels share
+    one transform of the (r, d) source block; each kernel's product is
+    freed before the next one's, which keeps the temporaries small.
+    ``spectra`` maps an FFT size to the kernels' transforms at that size;
+    a solve passes the same dict to every transfer, so each level's
+    kernels are transformed once.
     """
     r = _BLOCK
     while (e // r) % 2 == 0:
         r *= 2
     hi = min(e + r, xs.shape[0])
-    size = fft_size(r + hi - e - 1)
+    size = 2 * r
     out = slice(r - 1, r - 1 + hi - e)
     if size not in spectra:
         spectra[size] = np.fft.rfft(kernels[:, :size], size)

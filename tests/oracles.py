@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from fracstab import DivergenceError, DomainError, FractionalOrder, Trajectory, identity_g
-from fracstab.caputo import adams_tables, fft_size
+from fracstab.caputo import adams_tables
 from fracstab.errors import NewtonError
 from fracstab.lyapunov import _X_FLOOR
 from fracstab.models.teiv import teiv_incidence
@@ -145,7 +145,7 @@ def per_column_far_field(xs, fs, kernels, e):
     while (e // r) % 2 == 0:
         r *= 2
     hi = min(e + r, xs.shape[0])
-    size = fft_size(r + hi - e - 1)
+    size = 2 * r
     out = slice(r - 1, r - 1 + hi - e)
     for acc, kernel in zip((xs, fs), kernels):
         spectrum = np.fft.rfft(kernel[:size], size)

@@ -13,7 +13,7 @@ from fracstab import (
     l1_caputo,
 )
 from fracstab import caputo
-from fracstab.caputo import adams_tables, fft_size
+from fracstab.caputo import adams_tables
 from oracles import gl_weights
 
 
@@ -125,19 +125,6 @@ def test_l1_matches_direct_sum_at_every_node(alpha):
     magnitude = np.array([np.abs(c[:k][::-1]) @ np.abs(du[:k]) for k in range(1, n + 1)])
     scale = h ** (-alpha) / math.gamma(2.0 - alpha)
     assert np.all(np.abs(out.values[1:] - scale * direct) <= 1e-12 * scale * magnitude)
-
-
-def test_fft_size_is_smallest_5_smooth_length():
-    def smooth(x):
-        for p in (2, 3, 5):
-            while x % p == 0:
-                x //= p
-        return x == 1
-
-    for m in range(1, 3000):
-        size = fft_size(m)
-        assert size >= m and smooth(size)
-        assert not any(smooth(k) for k in range(m, size))
 
 
 # ---------------------------------------------------------------- GL weights

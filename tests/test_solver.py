@@ -190,11 +190,13 @@ def test_block_loop_bit_identical_to_stepwise_ndarray_loop(model, x0, h, n):
         assert np.array_equal(solve_fde_abm(model, order, x0, grid).states, ref)
 
 
-@pytest.mark.parametrize("e,n_nodes", [(128, 1100), (512, 1100), (512, 701)],
-                         ids=["full_128", "full_512", "last_partial_512"])
+@pytest.mark.parametrize("e,n_nodes", [(128, 1100), (512, 1100), (512, 701), (16384, 20001)],
+                         ids=["full_128", "full_512", "last_partial_512", "last_partial_16384"])
 def test_far_field_transfer_bit_identical_to_per_column_transfer(e, n_nodes):
     # e = 512 transfers r = 512 sources to [512, 1024): all of them with 1,100
-    # nodes, and only the last 189 with 701, as at the end of a solve
+    # nodes, and only the last 189 with 701, as at the end of a solve.
+    # e = 16,384 is the last transfer of a 20,000-step solve: 3,617 targets,
+    # where the length 2r is furthest above the r + T - 1 it needs.
     rng = np.random.default_rng(e + n_nodes)
     xs0, fs0 = rng.standard_normal((2, n_nodes, 4))
     kernels = rng.standard_normal((2, n_nodes - 1))

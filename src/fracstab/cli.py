@@ -138,10 +138,11 @@ def cmd_verify_lemma(cfg: ExperimentConfig, args) -> int:
     return EXIT_PASS if cert["pass"] else EXIT_CERT_FAIL
 
 
-def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> dict:
-    """``report``'s entry for one solved order, without its verdict.
+def certify_order(functional: LyapunovFunctional, traj: Trajectory, target, regime: str) -> dict:
+    """``report``'s entry for one solved order, its keys in printed order.
 
-    "decrescence" certifies the functional's L1 Caputo derivative along ``traj``
+    "verdict" is "<regime>, certified" or "<regime>, uncertified" by the
+    "decrescence" certificate: the functional's L1 Caputo derivative along ``traj``
     non-positive up to ``default_tolerance`` of V.  With the distance at node k
     max_i |x_i(t_k) - target_i| / max(max_i |target_i|, 1), "final_relative_distance"
     is the last node's and "ball_entry_time_5pct" the time of the first node at a
@@ -156,6 +157,7 @@ def certify_order(functional: LyapunovFunctional, traj: Trajectory, target) -> d
     inside = np.flatnonzero(dists <= 0.05)
     return {
         "order": traj.order.alpha,
+        "verdict": f"{regime}, {'certified' if cert['pass'] else 'uncertified'}",
         "decrescence": cert,
         "final_relative_distance": float(dists[-1]),
         "ball_entry_time_5pct": float(traj.grid.times()[inside[0]]) if inside.size else None,
@@ -168,14 +170,8 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
     functional = spec.functional_at(p, target)
     trajectories = _solve_orders(cfg, spec.model(p), cfg.orders, [functional.anchor])
     consistent = spec.spectral_consistent(p)
-    regime = "endemic" if spec.threshold(p) > 1.0 else "disease-free"
-
-    per_order = []
-    for traj in trajectories:
-        entry = certify_order(functional, traj, target)
-        status = "certified" if entry["decrescence"]["pass"] else "uncertified"
-        # "order" stays the first key and "verdict" the second
-        per_order.append({"order": entry.pop("order"), "verdict": f"{regime}, {status}", **entry})
+    regime = spec.regime(p)
+    per_order = [certify_order(functional, traj, target, regime) for traj in trajectories]
 
     doc = {
         "model": cfg.model,

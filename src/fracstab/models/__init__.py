@@ -33,33 +33,36 @@ class ModelSpec:
     endemic: Callable             # params -> endemic equilibrium; raises at threshold <= 1
     functional_at: Callable       # (params, equilibrium) -> LyapunovFunctional anchored there
 
+    def regime(self, params) -> str:
+        """The regime the threshold predicts: "endemic" above 1, "disease-free" otherwise."""
+        return "endemic" if self.threshold(params) > 1.0 else "disease-free"
+
     def predicted(self, params) -> np.ndarray:
-        """The equilibrium the threshold predicts: endemic above 1, free otherwise."""
-        return self.endemic(params) if self.threshold(params) > 1.0 else self.free(params)
+        """The equilibrium of the predicted ``regime``."""
+        return self.endemic(params) if self.regime(params) == "endemic" else self.free(params)
 
     def anchor(self, kind: str, params) -> np.ndarray:
         """The equilibrium a functional kind is anchored at."""
         return getattr(self, self.functionals[kind])(params)
 
     def spectral_consistent(self, params) -> bool:
-        """Whether threshold < 1 agrees with linear stability of the free equilibrium:
-        the eigenvalues of the rhs Jacobian (central differences) on the components
-        that are zero there, which checks the threshold formula against the vector
-        field itself.  Within 1e-6 of threshold 1 it is True without that test."""
-        threshold = self.threshold(params)
-        if abs(threshold - 1.0) <= _THRESHOLD_MARGIN:
+        """Whether ``regime`` is "disease-free" exactly when the free equilibrium is
+        linearly stable: the eigenvalues of the rhs Jacobian (central differences) on
+        the components that are zero there, which checks the threshold formula against
+        the vector field itself.  Within 1e-6 of threshold 1 it is True without that test."""
+        if abs(self.threshold(params) - 1.0) <= _THRESHOLD_MARGIN:
             return True
         free = self.free(params)
         infected = np.flatnonzero(free == 0.0)
         jac = jacobian(self.model(params).rhs, free)[np.ix_(infected, infected)]
         eigs = np.linalg.eigvals(jac)
-        return bool((eigs.real < 0).all()) == (threshold < 1.0)
+        return bool((eigs.real < 0).all()) == (self.regime(params) == "disease-free")
 
     def r0_document(self, params) -> dict:
-        """The r0 command's document after the model name; endemic None at threshold <= 1."""
-        threshold = self.threshold(params)
-        return {"r0": self.r0(params), "threshold": threshold, "free": list(self.free(params)),
-                "endemic": list(self.endemic(params)) if threshold > 1.0 else None}
+        """The r0 command's document after the model name; endemic None when disease-free."""
+        endemic = list(self.endemic(params)) if self.regime(params) == "endemic" else None
+        return {"r0": self.r0(params), "threshold": self.threshold(params),
+                "free": list(self.free(params)), "endemic": endemic}
 
 
 MODELS: dict[str, ModelSpec] = {

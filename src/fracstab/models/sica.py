@@ -169,11 +169,3 @@ def sica_v1(p: SicaParams, anchor) -> LyapunovFunctional:
 def sica_v0(p: SicaParams) -> LyapunovFunctional:
     """``sica_v1`` anchored at the disease-free equilibrium (S0, 0, 0, 0)."""
     return sica_v1(p, sica_disease_free(p))
-
-
-def baseline_params(beta: float = 0.066, incidence: str = "standard") -> SicaParams:
-    """Published baseline parameter set (beta = 0.866 for the endemic case)."""
-    return SicaParams(
-        lambda_=10724.0, mu=1.0 / 69.54, beta=beta, rho=0.1, phi=1.0,
-        alpha_t=0.33, omega=0.09, d=1.0, incidence=incidence,
-    )

@@ -1,10 +1,9 @@
 """Minimal self-contained SVG line plots (no plotting dependency).
 
 Hand-emitted axes, polylines, and labels keep the artifact hermetic and
-the output diffable.  A curve with more than 4 samples per pixel column
-is drawn from each column's first, last, lowest and highest sample (M4
-aggregation; Jugel et al., PVLDB 7(10), 2014), which draws the same line
-at that width; shorter curves keep every sample.
+the output diffable.  Every curve is drawn from each pixel column's first,
+last, lowest and highest sample (M4 aggregation; Jugel et al., PVLDB 7(10),
+2014), which draws the same line at that width.
 """
 
 from __future__ import annotations
@@ -66,15 +65,13 @@ def _panel(svg: list, ox: float, oy: float, times, curves, labels, title: str) -
     )
     offsets = (times - t0) * sx
     xs = left + offsets
-    decimate = times.size > 4 * (w + 1)
-    if decimate:
-        columns = np.floor(offsets)
-        first = np.flatnonzero(np.diff(columns, prepend=-1.0))
-        last = np.append(first[1:], times.size) - 1
+    columns = np.floor(offsets)
+    first = np.flatnonzero(np.diff(columns, prepend=-1.0))
+    last = np.append(first[1:], times.size) - 1
     for i, (c, label) in enumerate(zip(curves, labels)):
         color = CURVE_COLORS[i % len(CURVE_COLORS)]
         ys = top + (ymax - np.asarray(c, dtype=float)) * sy
-        keep = _m4(first, last, columns, ys) if decimate else slice(None)
+        keep = _m4(first, last, columns, ys)
         pts = " ".join(map("{:.2f},{:.2f}".format, xs[keep].tolist(), ys[keep].tolist()))
         svg.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
@@ -92,8 +89,8 @@ def plot_panels(path: str, times, panels: list, curve_labels: list) -> None:
     same length as ``times``, which ascends, and panel i draws one curve
     per entry of ``curve_labels`` in a fixed color order.  Sample k falls
     in pixel column floor((times[k] - times[0]) * w / (times[-1] - times[0]))
-    of a plot w pixels wide; with more than 4 samples per column, a curve
-    keeps only each column's first, last, min-y and max-y samples.
+    of a plot w pixels wide, and a curve keeps only each column's first,
+    last, min-y and max-y samples.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:

@@ -8,7 +8,8 @@ Runge-Kutta sums in place of the block-FFT Adams solver, that solver's
 one-row-at-a-time ndarray form with per-column far-field transforms in
 place of its list-valued block loop, and bisection on the stationarity
 equation, in floats and in 60-digit decimals, in place of TEIV's
-closed-form chronic equilibrium.
+closed-form chronic equilibrium.  ``baseline_params`` is the published SICA
+parameter set that the tests build their models from.
 """
 
 from __future__ import annotations
@@ -23,8 +24,17 @@ from fracstab import DivergenceError, DomainError, FractionalOrder, Trajectory, 
 from fracstab.caputo import adams_tables
 from fracstab.errors import NewtonError
 from fracstab.lyapunov import _X_FLOOR
+from fracstab.models.sica import SicaParams
 from fracstab.models.teiv import teiv_incidence
 from fracstab.solver import _BLOCK, _stencils
+
+
+def baseline_params(beta: float = 0.066, incidence: str = "standard") -> SicaParams:
+    """SICA's published baseline parameter set (beta = 0.866 for the endemic case)."""
+    return SicaParams(
+        lambda_=10724.0, mu=1.0 / 69.54, beta=beta, rho=0.1, phi=1.0,
+        alpha_t=0.33, omega=0.09, d=1.0, incidence=incidence,
+    )
 
 
 def _check_positive_x(x: float, xstar: float) -> None:

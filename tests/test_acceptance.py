@@ -33,7 +33,7 @@ from fracstab import (
 )
 from fracstab.cli import certify_order
 from fracstab.models import MODELS, sica, teiv
-from oracles import solve_fde_gl, solve_ode_rk4
+from oracles import baseline_params, solve_fde_gl, solve_ode_rk4
 
 FIG_INITIAL = np.array([596597.568, 74574.696, 37287.348, 37287.348])
 FIG_GRID = UniformGrid(0.0, 2000.0 / 5000, 5000)
@@ -47,14 +47,14 @@ def verdict(number: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_reproduction_number_regression():
-    low = sica.sica_r0(sica.baseline_params())
-    high = sica.sica_r0(sica.baseline_params(beta=0.866))
+    low = sica.sica_r0(baseline_params())
+    high = sica.sica_r0(baseline_params(beta=0.866))
     ok = abs(low - 0.2900) <= 5e-4 and abs(high - 3.8049) <= 5e-3
     verdict(1, ok, f"r0 low={low:.5f} (target 0.2900), high={high:.5f} (target 3.8049)")
 
 
 def test_criterion_02_disease_free_equilibrium():
-    df = sica.sica_disease_free(sica.baseline_params())
+    df = sica.sica_disease_free(baseline_params())
     rel = abs(df[0] - 7.4575e5) / 7.4575e5
     ok = rel <= 1e-4 and (df[1:] == 0.0).all()
     verdict(2, ok, f"S0={df[0]:.2f}, relative error {rel:.2e} (limit 1e-4)")
@@ -77,7 +77,7 @@ def test_criterion_03_endemic_equilibrium_vs_published():
     # published components, with the last entry read as 3.0861e3 per the
     # structural identity A = rho*I/(exit rate of A)
     published = np.array([0.8909e5, 4.1489e4, 3.9748e5, 3.0861e3])
-    p = sica.baseline_params(beta=0.866)
+    p = baseline_params(beta=0.866)
     eq = sica.sica_endemic(p)
     # The published point is not an equilibrium of the published model: every
     # endemic state has S/N = 1/R0 = 0.2628 for the published R0 = 3.8049
@@ -105,7 +105,7 @@ def test_criterion_03_endemic_equilibrium_vs_published():
 
 
 def sica_model_baseline(beta=0.066):
-    return sica.sica_model(sica.baseline_params(beta=beta))
+    return sica.sica_model(baseline_params(beta=beta))
 
 
 def test_criterion_04_classical_degeneracy():
@@ -192,24 +192,24 @@ _FIGURE_EVIDENCE = {}
 
 def figure_evidence(beta, alpha):
     """The figure solve at (beta, alpha), its target, and their ``certify_order``
-    entry: V1 at the endemic equilibrium above the threshold, V0 at the
-    disease-free one otherwise."""
+    entry, as ``report`` prints it: V1 at the equilibrium of the predicted
+    regime (V0 at the disease-free one)."""
     key = (beta, alpha)
     if key not in _FIGURE_EVIDENCE:
-        p = sica.baseline_params(beta=beta)
-        endemic = sica.endemic_threshold(p) > 1.0
-        target = sica.sica_endemic(p) if endemic else sica.sica_disease_free(p)
-        functional = sica.sica_v1(p, target)  # V0 at the disease-free point
+        spec, p = MODELS["sica"], baseline_params(beta=beta)
+        target = spec.predicted(p)
+        functional = sica.sica_v1(p, target)
         traj = solve_fde_abm(sica.sica_model(p), FractionalOrder(alpha), FIG_INITIAL, FIG_GRID)
-        _FIGURE_EVIDENCE[key] = traj, target, certify_order(functional, traj, target)
+        entry = certify_order(functional, traj, target, spec.regime(p))
+        _FIGURE_EVIDENCE[key] = traj, target, entry
     return _FIGURE_EVIDENCE[key]
 
 
-def run_figure_experiment(beta, ball):
+def run_figure_experiment(beta, ball, regime):
     lines, ok = [], True
     for alpha in FIG_ORDERS:
         traj, target, entry = figure_evidence(beta, alpha)
-        passed = entry["decrescence"]["pass"]
+        passed = entry["verdict"] == f"{regime}, certified"
         # the per-node distance series, recomputed as the benchmark's checks do
         scale = max(float(np.abs(target).max()), 1.0)
         distances = np.abs(traj.states - target).max(axis=1) / scale
@@ -226,7 +226,7 @@ def run_figure_experiment(beta, ball):
             ball_note = f"(ball {ball} reported, not asserted: t^(-alpha) tail)"
         ok = ok and passed and agrees and approaching and in_ball
         lines.append(
-            f"theta={alpha}: decrescence {'ok' if passed else 'VIOLATED'}, "
+            f"theta={alpha}: {entry['verdict']}, "
             f"approach on [T/2, T] {'monotone' if approaching else 'NOT monotone'} "
             f"(largest node-to-node change {rise:.1e}, rise floor {ROUNDING_FLOOR:.0e}), "
             f"final distance {dist:.4f} {ball_note}"
@@ -236,12 +236,12 @@ def run_figure_experiment(beta, ball):
 
 
 def test_criterion_08_disease_free_convergence_evidence():
-    ok, detail = run_figure_experiment(beta=0.066, ball=0.01)
+    ok, detail = run_figure_experiment(beta=0.066, ball=0.01, regime="disease-free")
     verdict(8, ok, detail)
 
 
 def test_criterion_09_endemic_convergence_evidence():
-    ok, detail = run_figure_experiment(beta=0.866, ball=0.02)
+    ok, detail = run_figure_experiment(beta=0.866, ball=0.02, regime="endemic")
     verdict(9, ok, detail)
 
 
@@ -278,7 +278,8 @@ def test_criterion_10_teiv_property_suite():
         x0 = chronic * np.array([1.3, 0.7, 1.2, 0.8])
         for alpha in (0.8, 1.0):
             traj = solve_fde_abm(model, FractionalOrder(alpha), x0, grid)
-            cert_failures += 0 if certify_order(L, traj, chronic)["decrescence"]["pass"] else 1
+            entry = certify_order(L, traj, chronic, "endemic")
+            cert_failures += 0 if entry["verdict"] == "endemic, certified" else 1
 
     spectral_failures = 0
     checked = 0

@@ -22,7 +22,7 @@ from fracstab import (
 )
 from fracstab.lyapunov import psi_slope
 from fracstab.models import sica, teiv
-from oracles import functional_value, orbital_derivative, psi, solve_ode_rk4
+from oracles import baseline_params, functional_value, orbital_derivative, psi, solve_ode_rk4
 
 
 def sqrt_g():
@@ -215,7 +215,7 @@ def test_field_derivative_matches_finite_difference_of_value():
 def chain_rule_case(name):
     """(functional, model, anchor): SICA V1 at the endemic point, or TEIV at the chronic one."""
     if name == "sica_v1":
-        p = sica.baseline_params(beta=0.866)
+        p = baseline_params(beta=0.866)
         eq = sica.sica_endemic(p)
         return sica.sica_v1(p, eq), sica.sica_model(p), eq
     q = teiv.TeivParams(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0, rho=0.05,

@@ -10,13 +10,14 @@ from fracstab import ConfigError
 from fracstab.cli import main
 from fracstab.config import ExperimentConfig, config_from_dict
 from fracstab.models import MODELS, sica, teiv
+from oracles import baseline_params
 from test_virus_model import CONFIG as VIRUS_CONFIG, VIRUS
 
 SCHEMA = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "schema.json")
 
 # one params value per registered model, with non-default optional fields
 SAMPLE_PARAMS = {
-    "sica": sica.baseline_params(beta=0.866, incidence="mass_action"),
+    "sica": baseline_params(beta=0.866, incidence="mass_action"),
     "teiv": teiv.TeivParams(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0, rho=0.05,
                             gamma=0.3, k=10.0, beta=0.01, alpha1=0.01, alpha2=0.01,
                             alpha3=0.001),
@@ -57,7 +58,7 @@ def test_initial_state_count_is_the_models_own(name, extra, tmp_path, capsys):
 
 # every registered model, SICA at both incidences, and the test-registered virus model
 R0_CASES = {
-    "sica_standard": ("sica", sica.baseline_params()),
+    "sica_standard": ("sica", baseline_params()),
     "sica_mass_action": ("sica", SAMPLE_PARAMS["sica"]),
     "teiv": ("teiv", SAMPLE_PARAMS["teiv"]),
     "virus": ("virus", VIRUS.params(**VIRUS_CONFIG["params"])),
@@ -84,6 +85,16 @@ def test_r0_document_is_one_form_with_endemic_null_at_threshold_1_or_below(
     assert len(out["free"]) == count
     assert (out["endemic"] is None) == (out["threshold"] <= 1.0)
     assert out["endemic"] is None or (len(out["endemic"]) == count and min(out["endemic"]) > 0)
+
+
+@pytest.mark.parametrize("threshold,regime", [
+    (float(np.nextafter(1.0, 0.0)), "disease-free"),
+    (1.0, "disease-free"),
+    (float(np.nextafter(1.0, 2.0)), "endemic"),
+], ids=["below_1", "at_1", "above_1"])
+def test_regime_is_endemic_only_above_threshold_1(threshold, regime):
+    spec = dataclasses.replace(MODELS["sica"], threshold=lambda p: threshold)
+    assert spec.regime(baseline_params()) == regime
 
 
 def test_schema_enums_match_registry():
@@ -133,8 +144,8 @@ def teiv_rhs_numpy(p, state):
 
 
 @pytest.mark.parametrize("field,reference,params,scale", [
-    (sica.sica_field, sica_rhs_numpy, sica.baseline_params(0.066, "standard"), 6e5),
-    (sica.sica_field, sica_rhs_numpy, sica.baseline_params(0.866, "mass_action"), 6e5),
+    (sica.sica_field, sica_rhs_numpy, baseline_params(0.066, "standard"), 6e5),
+    (sica.sica_field, sica_rhs_numpy, baseline_params(0.866, "mass_action"), 6e5),
     (teiv.teiv_field, teiv_rhs_numpy, SAMPLE_PARAMS["teiv"], 50.0),
 ], ids=["sica_standard", "sica_mass_action", "teiv"])
 @pytest.mark.parametrize("container", [list, tuple])
@@ -150,8 +161,8 @@ def test_rhs_bit_identical_to_numpy_scalar_arithmetic(field, reference, params, 
 
 
 @pytest.mark.parametrize("name,params,r0", [
-    ("sica", sica.baseline_params(), 1.0 - 1e-7),
-    ("sica", sica.baseline_params(), 1.0 + 1e-7),
+    ("sica", baseline_params(), 1.0 - 1e-7),
+    ("sica", baseline_params(), 1.0 + 1e-7),
     ("teiv", SAMPLE_PARAMS["teiv"], 1.0 + 1e-7),
 ])
 def test_spectral_consistent_without_a_spectral_test_within_1e_6_of_r0_1(
@@ -170,7 +181,7 @@ def test_spectral_consistent_without_a_spectral_test_within_1e_6_of_r0_1(
 
 # SICA at both incidences and both baseline betas, TEIV on teiv_demo with and without alpha3
 NEAR_THRESHOLD_CASES = {
-    f"sica_{incidence}_{beta}": ("sica", sica.baseline_params(beta=beta, incidence=incidence))
+    f"sica_{incidence}_{beta}": ("sica", baseline_params(beta=beta, incidence=incidence))
     for incidence in sica.INCIDENCE_VARIANTS for beta in (0.066, 0.866)
 }
 NEAR_THRESHOLD_CASES.update(

@@ -9,7 +9,7 @@ from fracstab import (
 )
 from fracstab.config import config_from_dict
 from fracstab.models import MODELS, sica
-from oracles import functional_value
+from oracles import baseline_params, functional_value
 
 # endemic equilibrium under standard incidence for the beta = 0.866 set,
 # frozen from an independent root-finding oracle (scipy.optimize.fsolve,
@@ -20,7 +20,7 @@ ENDEMIC_STANDARD = np.array(
 
 
 def baseline(**kw):
-    return sica.baseline_params(**kw)
+    return baseline_params(**kw)
 
 
 # ---------------------------------------------------------------- parameters
@@ -97,7 +97,7 @@ def test_rhs_mass_action_hand_value():
 def test_rhs_standard_incidence_divides_by_total():
     p = baseline()
     state = np.array([100.0, 50.0, 30.0, 20.0])
-    mass = sica.sica_field(sica.baseline_params(incidence="mass_action"))(state.tolist())
+    mass = sica.sica_field(baseline_params(incidence="mass_action"))(state.tolist())
     std = sica.sica_field(p)(state.tolist())
     # the two variants differ exactly by the 1/N factor in the transmission term
     inc_mass = p.beta * state[0] * state[1]

@@ -15,7 +15,13 @@ from fracstab import (
 from fracstab.caputo import adams_tables
 from fracstab.models import sica, teiv
 from fracstab.solver import _BLOCK, _add_far_field
-from oracles import per_column_far_field, solve_fde_abm_stepwise, solve_fde_gl, solve_ode_rk4
+from oracles import (
+    baseline_params,
+    per_column_far_field,
+    solve_fde_abm_stepwise,
+    solve_fde_gl,
+    solve_ode_rk4,
+)
 
 # one-step Mittag-Leffler fact, frozen from an independent special-function
 # oracle: E_{1/2}(-1) = exp(1) * erfc(1)
@@ -152,7 +158,7 @@ def solve_or_node(model, x0, grid):
 
 
 @pytest.mark.parametrize("model,x0,grid,diverges", [
-    (sica.sica_model(sica.baseline_params(0.866)),
+    (sica.sica_model(baseline_params(0.866)),
      [596597.568, 74574.696, 37287.348, 37287.348], UniformGrid(0.0, 0.4, 700), False),
     (ModelDefinition(1, lambda u: [0.02 * v * v for v in u], "growth", ("u",)),
      [1.0], UniformGrid(0.0, 0.5, 400), True),
@@ -176,9 +182,9 @@ TEIV_DEMO = teiv.TeivParams(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0,
 
 @pytest.mark.parametrize("n", [777, 3000])
 @pytest.mark.parametrize("model,x0,h", [
-    (sica.sica_model(sica.baseline_params(0.866)), FIG_INITIAL, 0.4),
+    (sica.sica_model(baseline_params(0.866)), FIG_INITIAL, 0.4),
     # beta = 1e-5 stays positive under mass action at h = 0.1
-    (sica.sica_model(sica.baseline_params(1e-5, "mass_action")), FIG_INITIAL, 0.1),
+    (sica.sica_model(baseline_params(1e-5, "mass_action")), FIG_INITIAL, 0.1),
     (teiv.teiv_model(TEIV_DEMO), [40.0, 1.0, 1.0, 5.0], 0.125),
 ], ids=["sica_standard", "sica_mass_action", "teiv"])
 def test_block_loop_bit_identical_to_stepwise_ndarray_loop(model, x0, h, n):

@@ -388,8 +388,8 @@ def test_decrescence_along_trajectory_at_chronic_anchor():
     x0 = chronic * np.array([1.3, 0.7, 1.2, 0.8])
     for alpha in (0.8, 1.0):
         traj = solve_fde_abm(model, FractionalOrder(alpha), x0, grid)
-        cert = certify_order(L, traj, chronic)["decrescence"]
-        assert cert["pass"], (alpha, cert["max_violation"], cert["tolerance"])
+        entry = certify_order(L, traj, chronic, "endemic")
+        assert entry["verdict"] == "endemic, certified", (alpha, entry["decrescence"])
 
 
 # ---------------------------------------------------------------- spectral threshold

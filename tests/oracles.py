@@ -8,13 +8,20 @@ Runge-Kutta sums in place of the block-FFT Adams solver, that solver's
 one-row-at-a-time ndarray form with per-column far-field transforms in
 place of its list-valued block loop, and bisection on the stationarity
 equation, in floats and in 60-digit decimals, in place of TEIV's
-closed-form chronic equilibrium.  ``baseline_params`` is the published SICA
-parameter set that the tests build their models from.
+closed-form chronic equilibrium.
+
+The parameter sets and initial states of the paper's runs are read from
+the shipped configs (``shipped_config``, ``baseline_params``,
+``teiv_demo_params``), so no test types a copy of them; ``bench/`` keeps
+its own copy by design, and a test holds the two equal.  The random
+parameter samplers draw the property tests' SICA and TEIV sets.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -25,15 +32,59 @@ from fracstab.caputo import adams_tables
 from fracstab.errors import NewtonError
 from fracstab.lyapunov import _X_FLOOR
 from fracstab.models.sica import SicaParams
-from fracstab.models.teiv import teiv_incidence
+from fracstab.models.teiv import TeivParams, teiv_incidence
 from fracstab.solver import _BLOCK, _stencils
 
 
-def baseline_params(beta: float = 0.066, incidence: str = "standard") -> SicaParams:
-    """SICA's published baseline parameter set (beta = 0.866 for the endemic case)."""
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def shipped_config(name: str) -> dict:
+    """A fresh copy of the document in ``configs/<name>.json``: fig1, fig2 or teiv_demo."""
+    with open(os.path.join(CONFIGS, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def baseline_params(figure: str = "fig1", **overrides) -> SicaParams:
+    """SICA's published parameter set as ``configs/<figure>.json`` ships it
+    (fig1 below its threshold, fig2 above), with ``overrides``."""
+    return SicaParams(**dict(shipped_config(figure)["params"], **overrides))
+
+
+def teiv_demo_params(**overrides) -> TeivParams:
+    """TEIV's demo parameter set as ``configs/teiv_demo.json`` ships it, with ``overrides``."""
+    return TeivParams(**dict(shipped_config("teiv_demo")["params"], **overrides))
+
+
+def random_sica_params(rng) -> SicaParams:
+    """A SICA parameter set under standard incidence, each rate uniform in its range."""
     return SicaParams(
-        lambda_=10724.0, mu=1.0 / 69.54, beta=beta, rho=0.1, phi=1.0,
-        alpha_t=0.33, omega=0.09, d=1.0, incidence=incidence,
+        lambda_=rng.uniform(1e3, 2e4),
+        mu=rng.uniform(0.005, 0.05),
+        beta=rng.uniform(0.01, 2.0),
+        rho=rng.uniform(0.01, 0.5),
+        phi=rng.uniform(0.1, 2.0),
+        alpha_t=rng.uniform(0.05, 1.0),
+        omega=rng.uniform(0.01, 0.5),
+        d=rng.uniform(0.1, 2.0),
+    )
+
+
+def random_teiv_params(rng) -> TeivParams:
+    """A TEIV parameter set, each rate uniform in its range."""
+    return TeivParams(
+        lambda_=rng.uniform(1.0, 10.0),
+        mu_T=rng.uniform(0.05, 0.2),
+        mu_E=rng.uniform(0.1, 0.5),
+        mu_I=rng.uniform(0.1, 0.5),
+        mu_V=rng.uniform(0.5, 3.0),
+        rho=rng.uniform(0.01, 0.1),
+        gamma=rng.uniform(0.1, 0.5),
+        k=rng.uniform(1.0, 20.0),
+        beta=rng.uniform(0.001, 0.02),
+        alpha1=rng.uniform(0.0, 0.1),
+        alpha2=rng.uniform(0.0, 0.1),
+        alpha3=rng.uniform(0.0, 0.01),
     )
 
 

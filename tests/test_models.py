@@ -6,22 +6,27 @@ import re
 import numpy as np
 import pytest
 
-from fracstab import ConfigError
+from fracstab import ConfigError, ContractError, NoEndemicEquilibriumError
 from fracstab.cli import main
 from fracstab.config import ExperimentConfig, config_from_dict
 from fracstab.models import MODELS, sica, teiv
-from oracles import baseline_params
-from test_virus_model import CONFIG as VIRUS_CONFIG, VIRUS
+from oracles import (
+    baseline_params,
+    functional_value,
+    random_sica_params,
+    random_teiv_params,
+    teiv_demo_params,
+)
+from test_virus_model import CONFIG as VIRUS_CONFIG, VIRUS, random_virus_params
 
 SCHEMA = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "schema.json")
 
 # one params value per registered model, with non-default optional fields
 SAMPLE_PARAMS = {
-    "sica": baseline_params(beta=0.866, incidence="mass_action"),
-    "teiv": teiv.TeivParams(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0, rho=0.05,
-                            gamma=0.3, k=10.0, beta=0.01, alpha1=0.01, alpha2=0.01,
-                            alpha3=0.001),
+    "sica": baseline_params("fig2", incidence="mass_action"),
+    "teiv": teiv_demo_params(),
 }
+VIRUS_PARAMS = VIRUS.params(**VIRUS_CONFIG["params"])
 
 
 def config_document(model: str, params: dict) -> dict:
@@ -61,7 +66,7 @@ R0_CASES = {
     "sica_standard": ("sica", baseline_params()),
     "sica_mass_action": ("sica", SAMPLE_PARAMS["sica"]),
     "teiv": ("teiv", SAMPLE_PARAMS["teiv"]),
-    "virus": ("virus", VIRUS.params(**VIRUS_CONFIG["params"])),
+    "virus": ("virus", VIRUS_PARAMS),
 }
 
 
@@ -144,8 +149,8 @@ def teiv_rhs_numpy(p, state):
 
 
 @pytest.mark.parametrize("field,reference,params,scale", [
-    (sica.sica_field, sica_rhs_numpy, baseline_params(0.066, "standard"), 6e5),
-    (sica.sica_field, sica_rhs_numpy, baseline_params(0.866, "mass_action"), 6e5),
+    (sica.sica_field, sica_rhs_numpy, baseline_params(), 6e5),
+    (sica.sica_field, sica_rhs_numpy, SAMPLE_PARAMS["sica"], 6e5),
     (teiv.teiv_field, teiv_rhs_numpy, SAMPLE_PARAMS["teiv"], 50.0),
 ], ids=["sica_standard", "sica_mass_action", "teiv"])
 @pytest.mark.parametrize("container", [list, tuple])
@@ -179,10 +184,11 @@ def test_spectral_consistent_without_a_spectral_test_within_1e_6_of_r0_1(
     assert spec.spectral_consistent(p) is True
 
 
-# SICA at both incidences and both baseline betas, TEIV on teiv_demo with and without alpha3
+# SICA at both incidences on fig1 and fig2, TEIV on teiv_demo with and without alpha3
 NEAR_THRESHOLD_CASES = {
-    f"sica_{incidence}_{beta}": ("sica", baseline_params(beta=beta, incidence=incidence))
-    for incidence in sica.INCIDENCE_VARIANTS for beta in (0.066, 0.866)
+    f"sica_{p.incidence}_{p.beta}": ("sica", p)
+    for p in (baseline_params(figure, incidence=incidence)
+              for incidence in sica.INCIDENCE_VARIANTS for figure in ("fig1", "fig2"))
 }
 NEAR_THRESHOLD_CASES.update(
     teiv_demo=("teiv", SAMPLE_PARAMS["teiv"]),
@@ -208,3 +214,133 @@ def test_endemic_point_is_a_positive_root_at_every_double_just_above_the_critica
         assert (x > 0).all() and residual <= 1e-9 * max(np.abs(x).max(), 1.0), (beta, x)
         checked += 1
     assert checked >= 190
+
+
+# ---------------------------------------------------------------- the promises of every model
+#
+# Each test below holds one promise of ModelSpec for every registered model
+# and for the virus model of test_virus_model.py, each case with its own
+# parameters, seed, sample count and bound.  A model added to MODELS without
+# a case fails each test with a KeyError.
+
+SPECS = dict(MODELS, virus=VIRUS)
+
+# threshold below 1
+BELOW = {
+    "sica": baseline_params(),
+    "teiv": teiv_demo_params(beta=0.0001),
+    "virus": dataclasses.replace(VIRUS_PARAMS, beta=0.001),
+}
+# threshold above 1: the functional is anchored at the endemic point
+ABOVE = {
+    "sica": baseline_params("fig2"),
+    "teiv": teiv_demo_params(),
+    "virus": VIRUS_PARAMS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_rhs_vanishes_at_the_free_equilibrium(name):
+    params, atol = {
+        "sica": ([baseline_params(), baseline_params(incidence="mass_action")], 1e-9),
+        "teiv": ([teiv_demo_params()], 1e-12),
+        "virus": ([VIRUS_PARAMS], 1e-12),
+    }[name]
+    spec = SPECS[name]
+    for p in params:
+        np.testing.assert_allclose(spec.model(p).rhs(spec.free(p).tolist()), 0.0, atol=atol)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_no_endemic_equilibrium_at_threshold_1_or_below(name):
+    spec, p = SPECS[name], BELOW[name]
+    assert spec.threshold(p) <= 1.0
+    with pytest.raises(NoEndemicEquilibriumError):
+        spec.endemic(p)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_threshold_is_linear_in_beta(name):
+    spec, p = SPECS[name], BELOW[name]
+    assert spec.threshold(dataclasses.replace(p, beta=3.0 * p.beta)) == pytest.approx(
+        3.0 * spec.threshold(p), rel=1e-14)
+
+
+def states_around(anchor, seed, count, spread):
+    """``count`` states anchor * exp(U(-spread, spread)), componentwise."""
+    rng = np.random.default_rng(seed)
+    return anchor * np.exp(rng.uniform(-spread, spread, size=(count, anchor.size)))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_functional_at_the_endemic_point_is_zero_there_and_positive_elsewhere(name):
+    # (seed, count, spread) of the states, and the bound on the value at the anchor
+    seed, count, spread, atol = {
+        "sica": (3, 50, 2.0, 1e-9), "teiv": (9, 20, 0.5, 1e-10), "virus": (3, 50, 2.0, 1e-12),
+    }[name]
+    spec, p = SPECS[name], ABOVE[name]
+    eq = spec.endemic(p)
+    fn = spec.functional_at(p, eq)
+    assert functional_value(fn, eq) == pytest.approx(0.0, abs=atol)
+    for state in states_around(eq, seed, count, spread):
+        if not np.allclose(state, eq):
+            assert functional_value(fn, state) > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_functional_at_rejects_an_anchor_that_is_no_equilibrium(name):
+    spec, p = SPECS[name], ABOVE[name]
+    eq = spec.endemic(p)
+    with pytest.raises(ContractError, match="not an equilibrium"):
+        spec.functional_at(p, 1.05 * eq)
+    # a residual of about 1e-8 of scale fails the 1e-9 rule that an anchor
+    # shares with damped_newton's roots
+    near = eq * (1.0 + {"sica": 3.4e-7, "teiv": 5e-8, "virus": 5e-8}[name])
+    assert 5e-9 < np.abs(spec.model(p).rhs(near.tolist())).max() / near.max() < 2e-8
+    with pytest.raises(ContractError, match="not an equilibrium"):
+        spec.functional_at(p, near)
+    with pytest.raises(ContractError, match=f"{eq.size}-component"):
+        spec.functional_at(p, eq[:-1])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_rate_along_is_nonpositive_around_the_endemic_point(name):
+    seed, count, spread = {"sica": (17, 300, 2.0), "teiv": (31, 200, 1.0),
+                           "virus": (17, 300, 2.0)}[name]
+    spec, p = SPECS[name], ABOVE[name]
+    eq = spec.endemic(p)
+    rhs = spec.model(p).rhs
+    states = states_around(eq, seed, count, spread)
+    rates = [rhs(state.tolist()) for state in states]
+    assert (spec.functional_at(p, eq).rate_along(states, rates) <= 1e-9).all()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_spectral_consistent_at_100_random_parameter_sets(name):
+    seed, draw = {"sica": (101, random_sica_params), "teiv": (77, random_teiv_params),
+                  "virus": (7, random_virus_params)}[name]
+    spec = SPECS[name]
+    rng = np.random.default_rng(seed)
+    endemic = checked = 0
+    while checked < 100:
+        p = draw(rng)
+        if abs(spec.threshold(p) - 1.0) <= 1e-6:
+            continue
+        assert spec.spectral_consistent(p), p
+        endemic += spec.regime(p) == "endemic"
+        checked += 1
+    # the draws test both regimes
+    assert 0 < endemic < checked
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_params_reject_non_positive_rates(name):
+    # registered models only: the virus model's VirusParams has no such check
+    base, rates = {
+        "sica": (dict(lambda_=1.0, mu=1.0, beta=1.0, rho=1.0, phi=1.0, alpha_t=1.0, omega=1.0,
+                      d=1.0), {"lambda_": 0.0, "beta": -0.1}),
+        "teiv": (dataclasses.asdict(teiv_demo_params()), {"mu_V": 0.0, "k": -1.0}),
+    }[name]
+    for rate, value in rates.items():
+        with pytest.raises(ContractError):
+            MODELS[name].params(**dict(base, **{rate: value}))

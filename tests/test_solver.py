@@ -18,9 +18,11 @@ from fracstab.solver import _BLOCK, _add_far_field
 from oracles import (
     baseline_params,
     per_column_far_field,
+    shipped_config,
     solve_fde_abm_stepwise,
     solve_fde_gl,
     solve_ode_rk4,
+    teiv_demo_params,
 )
 
 # one-step Mittag-Leffler fact, frozen from an independent special-function
@@ -157,9 +159,11 @@ def solve_or_node(model, x0, grid):
         return exc.node
 
 
+FIG_INITIAL = shipped_config("fig2")["initial_state"]
+
+
 @pytest.mark.parametrize("model,x0,grid,diverges", [
-    (sica.sica_model(baseline_params(0.866)),
-     [596597.568, 74574.696, 37287.348, 37287.348], UniformGrid(0.0, 0.4, 700), False),
+    (sica.sica_model(baseline_params("fig2")), FIG_INITIAL, UniformGrid(0.0, 0.4, 700), False),
     (ModelDefinition(1, lambda u: [0.02 * v * v for v in u], "growth", ("u",)),
      [1.0], UniformGrid(0.0, 0.5, 400), True),
 ], ids=["sica", "diverging_past_a_block"])
@@ -174,18 +178,12 @@ def test_list_and_ndarray_rhs_give_the_same_solve(model, x0, grid, diverges):
         assert lists.shape == (grid.n_nodes, model.dimension) and np.array_equal(lists, arrays)
 
 
-FIG_INITIAL = [596597.568, 74574.696, 37287.348, 37287.348]
-TEIV_DEMO = teiv.TeivParams(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0, rho=0.05,
-                            gamma=0.3, k=10.0, beta=0.01, alpha1=0.01, alpha2=0.01,
-                            alpha3=0.001)
-
-
 @pytest.mark.parametrize("n", [777, 3000])
 @pytest.mark.parametrize("model,x0,h", [
-    (sica.sica_model(baseline_params(0.866)), FIG_INITIAL, 0.4),
+    (sica.sica_model(baseline_params("fig2")), FIG_INITIAL, 0.4),
     # beta = 1e-5 stays positive under mass action at h = 0.1
-    (sica.sica_model(baseline_params(1e-5, "mass_action")), FIG_INITIAL, 0.1),
-    (teiv.teiv_model(TEIV_DEMO), [40.0, 1.0, 1.0, 5.0], 0.125),
+    (sica.sica_model(baseline_params(beta=1e-5, incidence="mass_action")), FIG_INITIAL, 0.1),
+    (teiv.teiv_model(teiv_demo_params()), shipped_config("teiv_demo")["initial_state"], 0.125),
 ], ids=["sica_standard", "sica_mass_action", "teiv"])
 def test_block_loop_bit_identical_to_stepwise_ndarray_loop(model, x0, h, n):
     # 777 and 3000 cross several far-field levels and end in a partial block

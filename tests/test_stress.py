@@ -26,18 +26,18 @@ import numpy as np
 import pytest
 
 from fracstab.cli import main
-from fracstab.models import sica, teiv
-
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-
-
-def load_config_doc(name: str) -> dict:
-    with open(os.path.join(CONFIGS, f"{name}.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+from fracstab.models import MODELS
+from oracles import shipped_config
 
 
-BASES = [load_config_doc("fig2"), load_config_doc("teiv_demo")]
-LABELS = {"sica": sica.STATE_LABELS, "teiv": teiv.STATE_LABELS}
+def state_labels(doc: dict) -> tuple:
+    """The state labels of a config's model, from its registry entry."""
+    spec = MODELS[doc["model"]]
+    return spec.model(spec.params(**doc["params"])).state_labels
+
+
+BASES = [shipped_config("fig2"), shipped_config("teiv_demo")]
+LABELS = {doc["model"]: state_labels(doc) for doc in BASES}
 COMMANDS = ("r0", "simulate", "report", "verify-lemma")
 G_LABELS = ("identity", "sqrt", "log1p")
 MALFORMED = 0.05           # share of cases whose argv is malformed

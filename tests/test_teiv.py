@@ -18,43 +18,20 @@ from fracstab import (
 )
 from fracstab import newton
 from fracstab.cli import certify_order
-from fracstab.models import MODELS, teiv
+from fracstab.models import teiv
 from fracstab.newton import damped_newton
-from oracles import functional_value, psi, teiv_chronic_decimal, teiv_chronic_seed_bisect
-
-
-def demo_params(**overrides):
-    kw = dict(lambda_=5.0, mu_T=0.1, mu_E=0.2, mu_I=0.3, mu_V=2.0, rho=0.05,
-              gamma=0.3, k=10.0, beta=0.01, alpha1=0.01, alpha2=0.01, alpha3=0.001)
-    kw.update(overrides)
-    return teiv.TeivParams(**kw)
-
-
-def random_params(rng):
-    return teiv.TeivParams(
-        lambda_=rng.uniform(1.0, 10.0),
-        mu_T=rng.uniform(0.05, 0.2),
-        mu_E=rng.uniform(0.1, 0.5),
-        mu_I=rng.uniform(0.1, 0.5),
-        mu_V=rng.uniform(0.5, 3.0),
-        rho=rng.uniform(0.01, 0.1),
-        gamma=rng.uniform(0.1, 0.5),
-        k=rng.uniform(1.0, 20.0),
-        beta=rng.uniform(0.001, 0.02),
-        alpha1=rng.uniform(0.0, 0.1),
-        alpha2=rng.uniform(0.0, 0.1),
-        alpha3=rng.uniform(0.0, 0.01),
-    )
+from oracles import (
+    functional_value,
+    psi,
+    random_teiv_params as random_params,
+    shipped_config,
+    teiv_chronic_decimal,
+    teiv_chronic_seed_bisect,
+    teiv_demo_params as demo_params,
+)
 
 
 # ---------------------------------------------------------------- parameters
-
-def test_params_reject_non_positive_rates():
-    with pytest.raises(ContractError):
-        demo_params(mu_V=0.0)
-    with pytest.raises(ContractError):
-        demo_params(k=-1.0)
-
 
 def test_params_allow_zero_saturation():
     p = demo_params(alpha1=0.0, alpha2=0.0, alpha3=0.0)
@@ -96,25 +73,15 @@ def test_rhs_hand_value_unit_parameters():
     )
 
 
-def test_rhs_vanishes_at_infection_free_point():
-    p = demo_params()
-    np.testing.assert_allclose(
-        teiv.teiv_field(p)(teiv.teiv_infection_free(p).tolist()), 0.0, atol=1e-12
-    )
-
-
 # ---------------------------------------------------------------- R0
 
 def test_r0_all_ones_hand_value():
     p = teiv.TeivParams(lambda_=1.0, mu_T=1.0, mu_E=1.0, mu_I=1.0, mu_V=1.0,
                         rho=1.0, gamma=1.0, k=1.0, beta=1.0, alpha1=1.0)
     assert teiv.teiv_r0(p) == pytest.approx(1.0 / 6.0, rel=1e-14)
-
-
-def test_r0_linear_in_virion_production():
-    p = demo_params()
+    # and linear in the virion production k
     assert teiv.teiv_r0(demo_params(k=20.0)) == pytest.approx(
-        2.0 * teiv.teiv_r0(p), rel=1e-14
+        2.0 * teiv.teiv_r0(demo_params()), rel=1e-14
     )
 
 
@@ -124,11 +91,8 @@ def test_equilibria_always_starts_with_infection_free():
     p = demo_params()
     eqs = teiv.teiv_equilibria(p)
     np.testing.assert_allclose(eqs[0], [50.0, 0.0, 0.0, 0.0])
-
-
-def test_equilibria_single_below_threshold():
+    # below the threshold it is the only one
     p = demo_params(beta=0.0001)
-    assert teiv.teiv_r0(p) < 1.0
     assert len(teiv.teiv_equilibria(p)) == 1
     with pytest.raises(NoEndemicEquilibriumError, match="no chronic equilibrium"):
         teiv.teiv_chronic(p)
@@ -239,30 +203,6 @@ def test_chronic_seed_fallback_keeps_the_residual_rule(monkeypatch):
 
 # ---------------------------------------------------------------- Lyapunov functional
 
-def test_lyapunov_zero_at_anchor_positive_nearby():
-    p = demo_params()
-    chronic = teiv.teiv_equilibria(p)[1]
-    L = teiv.teiv_lyapunov(p, chronic)
-    assert functional_value(L, chronic) == pytest.approx(0.0, abs=1e-10)
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        state = chronic * np.exp(rng.uniform(-0.5, 0.5, size=4))
-        if not np.allclose(state, chronic):
-            assert functional_value(L, state) > 0.0
-
-
-def test_lyapunov_rejects_non_equilibrium_anchor():
-    p = demo_params()
-    with pytest.raises(ContractError):
-        teiv.teiv_lyapunov(p, [1.0, 1.0, 1.0, 1.0])
-    # a residual of about 1e-8 of scale fails the 1e-9 rule that an anchor
-    # shares with damped_newton's roots
-    near = teiv.teiv_equilibria(p)[-1] * (1.0 + 5e-8)
-    assert 5e-9 < np.abs(teiv.teiv_field(p)(near.tolist())).max() / near.max() < 2e-8
-    with pytest.raises(ContractError, match="not an equilibrium"):
-        teiv.teiv_lyapunov(p, near)
-
-
 def test_lyapunov_at_infection_free_anchor_has_linear_parts():
     p = demo_params(beta=0.0001)
     ife = teiv.teiv_equilibria(p)[0]
@@ -346,7 +286,8 @@ def test_lyapunov_is_the_g_form_as_a_weighted_log_volterra_sum():
     # incidence g(s) = beta s/(c0 + c1 s); the cross weight is rho w
     demo = demo_params()
     traj = solve_fde_abm(teiv.teiv_model(demo), FractionalOrder(0.8),
-                         np.array([40.0, 1.0, 1.0, 5.0]), UniformGrid(0.0, 100.0 / 800, 800))
+                         np.array(shipped_config("teiv_demo")["initial_state"]),
+                         UniformGrid(0.0, 100.0 / 800, 800))
     X, T = traj.states, traj.component(0)
     rng = np.random.default_rng(47)
     params = [demo, demo_params(alpha1=0.0, alpha2=0.0, alpha3=0.0)]
@@ -368,17 +309,6 @@ def test_lyapunov_is_the_g_form_as_a_weighted_log_volterra_sum():
             assert np.abs(V - V_g).max() <= 1e-13 * np.abs(V_g).max(), (p, anchor)
 
 
-def test_lyapunov_orbital_derivative_nonpositive_at_chronic():
-    p = demo_params()
-    chronic = teiv.teiv_equilibria(p)[1]
-    L = teiv.teiv_lyapunov(p, chronic)
-    model = teiv.teiv_model(p)
-    rng = np.random.default_rng(31)
-    states = [chronic * np.exp(rng.uniform(-1.0, 1.0, size=4)) for _ in range(200)]
-    rates = [model.rhs(state.tolist()) for state in states]
-    assert (L.rate_along(states, rates) <= 1e-9).all()
-
-
 def test_decrescence_along_trajectory_at_chronic_anchor():
     p = demo_params()
     chronic = teiv.teiv_equilibria(p)[1]
@@ -390,16 +320,3 @@ def test_decrescence_along_trajectory_at_chronic_anchor():
         traj = solve_fde_abm(model, FractionalOrder(alpha), x0, grid)
         entry = certify_order(L, traj, chronic, "endemic")
         assert entry["verdict"] == "endemic, certified", (alpha, entry["decrescence"])
-
-
-# ---------------------------------------------------------------- spectral threshold
-
-def test_r0_threshold_matches_linearized_stability():
-    rng = np.random.default_rng(77)
-    checked = 0
-    while checked < 100:
-        p = random_params(rng)
-        if abs(teiv.teiv_r0(p) - 1.0) <= 1e-6:
-            continue
-        assert MODELS["teiv"].spectral_consistent(p), p
-        checked += 1

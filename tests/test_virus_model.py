@@ -82,6 +82,13 @@ VIRUS = ModelSpec(
     functional_at=virus_functional,
 )
 
+def random_virus_params(rng) -> VirusParams:
+    """A parameter set with each rate uniform in its range: R0 from 0.007 to 17."""
+    return VirusParams(lambda_=rng.uniform(1.0, 20.0), d=rng.uniform(0.05, 0.5),
+                       beta=rng.uniform(1e-4, 1e-2), a=rng.uniform(0.1, 1.0),
+                       k=rng.uniform(1.0, 10.0), u=rng.uniform(0.5, 5.0))
+
+
 CONFIG = {
     "model": "virus",
     "params": {"lambda_": 10.0, "d": 0.1, "beta": 0.004, "a": 0.5, "k": 5.0, "u": 2.0},

@@ -293,12 +293,23 @@ def test_functional_at_rejects_an_anchor_that_is_no_equilibrium(name):
     eq = spec.endemic(p)
     with pytest.raises(ContractError, match="not an equilibrium"):
         spec.functional_at(p, 1.05 * eq)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_functional_at_rejects_an_anchor_with_a_residual_of_1e_8_of_scale(name):
+    spec, p = SPECS[name], ABOVE[name]
     # a residual of about 1e-8 of scale fails the 1e-9 rule that an anchor
     # shares with damped_newton's roots
-    near = eq * (1.0 + {"sica": 3.4e-7, "teiv": 5e-8, "virus": 5e-8}[name])
+    near = spec.endemic(p) * (1.0 + {"sica": 3.4e-7, "teiv": 5e-8, "virus": 5e-8}[name])
     assert 5e-9 < np.abs(spec.model(p).rhs(near.tolist())).max() / near.max() < 2e-8
     with pytest.raises(ContractError, match="not an equilibrium"):
         spec.functional_at(p, near)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_functional_at_rejects_an_anchor_of_the_wrong_length(name):
+    spec, p = SPECS[name], ABOVE[name]
+    eq = spec.endemic(p)
     with pytest.raises(ContractError, match=f"{eq.size}-component"):
         spec.functional_at(p, eq[:-1])
 
